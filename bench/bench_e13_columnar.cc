@@ -89,16 +89,17 @@ ScalarExprPtr SelectPred() {
 
 ScalarExprPtr JoinPred() { return Eq(Col(0), Col(2)); }
 
-ColumnarConfig Config(size_t threads) {
-  ColumnarConfig config;
-  config.mode = ColumnarMode::kAuto;
-  config.threads = threads;  // 1 = inline morsels, 0 = hardware concurrency
+PhysicalPolicy Config(size_t threads) {
+  PhysicalPolicy config;
+  config.columnar_mode = ColumnarMode::kAuto;
+  // 1 = inline morsels, 0 = hardware concurrency.
+  config.columnar_threads = threads;
   return config;
 }
 
 // Asserted once per benchmark: the vectorized route engages and returns the
 // bit-identical relation the row kernel computes.
-void CheckSelectIdentity(const ColumnarConfig& config) {
+void CheckSelectIdentity(const PhysicalPolicy& config) {
   Fixture& fx = SharedFixture();
   ScalarExprPtr pred = SelectPred();
   auto columnar = TryColumnarFilter(fx.base_view, pred, config);
@@ -110,7 +111,7 @@ void CheckSelectIdentity(const ColumnarConfig& config) {
   HQL_CHECK_MSG(!row.empty(), "the workload must be non-trivial");
 }
 
-void CheckJoinIdentity(const ColumnarConfig& config) {
+void CheckJoinIdentity(const PhysicalPolicy& config) {
   Fixture& fx = SharedFixture();
   ScalarExprPtr pred = JoinPred();
   auto columnar =
@@ -148,15 +149,14 @@ void BM_SelectRow(benchmark::State& state) {
 }
 
 void RunSelectColumnar(benchmark::State& state, size_t threads) {
-  ColumnarConfig config = Config(threads);
+  PhysicalPolicy config = Config(threads);
   CheckSelectIdentity(config);
   Fixture& fx = SharedFixture();
   ScalarExprPtr pred = SelectPred();
-  IndexConfig no_indexes;
   ExecStats before = AmbientExecContext().Snapshot();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += VectorizedFilter(fx.base_view, pred, no_indexes, config).size();
+    total += VectorizedFilter(fx.base_view, pred, config).size();
   }
   state.counters["result_tuples"] = static_cast<double>(total);
   ExportColumnarCounters(state, before);
@@ -180,17 +180,15 @@ void BM_JoinRow(benchmark::State& state) {
 }
 
 void RunJoinColumnar(benchmark::State& state, size_t threads) {
-  ColumnarConfig config = Config(threads);
+  PhysicalPolicy config = Config(threads);
   CheckJoinIdentity(config);
   Fixture& fx = SharedFixture();
   ScalarExprPtr pred = JoinPred();
-  IndexConfig no_indexes;
   ExecStats before = AmbientExecContext().Snapshot();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += VectorizedJoin(fx.base_view, fx.build_view, pred, no_indexes,
-                            config)
-                 .size();
+    total +=
+        VectorizedJoin(fx.base_view, fx.build_view, pred, config).size();
   }
   state.counters["result_tuples"] = static_cast<double>(total);
   ExportColumnarCounters(state, before);
@@ -216,18 +214,17 @@ void BM_OverlayFallback(benchmark::State& state) {
       RelationView::Overlay(shared, adds.tuples(), dels.tuples());
   ScalarExprPtr pred = SelectPred();
 
-  ColumnarConfig config = Config(/*threads=*/1);
+  PhysicalPolicy config = Config(/*threads=*/1);
   HQL_CHECK_MSG(!TryColumnarFilter(view, pred, config).has_value(),
                 "an overlay past max_delta_fraction must fall back");
   Relation row = FilterRelation(view, *pred);
-  IndexConfig no_indexes;
-  HQL_CHECK_MSG(VectorizedFilter(view, pred, no_indexes, config) == row,
+  HQL_CHECK_MSG(VectorizedFilter(view, pred, config) == row,
                 "the routed kernel must equal the row kernel on fallback");
 
   ExecStats before = AmbientExecContext().Snapshot();
   uint64_t total = 0;
   for (auto _ : state) {
-    total += VectorizedFilter(view, pred, no_indexes, config).size();
+    total += VectorizedFilter(view, pred, config).size();
   }
   state.counters["result_tuples"] = static_cast<double>(total);
   ExportColumnarCounters(state, before);

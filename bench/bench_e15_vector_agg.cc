@@ -76,10 +76,10 @@ Fixture& SharedFixture() {
   return *fixture;
 }
 
-ColumnarConfig Config(size_t threads) {
-  ColumnarConfig config;
-  config.mode = ColumnarMode::kAuto;
-  config.threads = threads;
+PhysicalPolicy Config(size_t threads) {
+  PhysicalPolicy config;
+  config.columnar_mode = ColumnarMode::kAuto;
+  config.columnar_threads = threads;
   return config;
 }
 
@@ -90,7 +90,7 @@ constexpr size_t kAggCol = 1;
 // shape and returns the bit-identical relation the row kernel computes.
 void CheckAggIdentity(const RelationView& view, AggFunc func,
                       const std::vector<size_t>& cols,
-                      const ColumnarConfig& config) {
+                      const PhysicalPolicy& config) {
   auto columnar = TryColumnarAggregate(view, cols, func, kAggCol, config);
   HQL_CHECK_MSG(columnar.has_value(),
                 "columnar aggregate must engage on the 1M-row base");
@@ -129,7 +129,7 @@ void BM_AggRow(benchmark::State& state) {
 }
 
 void RunAggColumnar(benchmark::State& state, AggFunc func, size_t threads) {
-  ColumnarConfig config = Config(threads);
+  PhysicalPolicy config = Config(threads);
   Fixture& fx = SharedFixture();
   CheckAggIdentity(fx.base_view, func, kGroupCols, config);
   ExecStats before = AmbientExecContext().Snapshot();
@@ -167,7 +167,7 @@ void BM_GlobalSumRow(benchmark::State& state) {
 }
 
 void BM_GlobalSumSimd(benchmark::State& state) {
-  ColumnarConfig config = Config(/*threads=*/1);
+  PhysicalPolicy config = Config(/*threads=*/1);
   Fixture& fx = SharedFixture();
   CheckAggIdentity(fx.base_view, AggFunc::kSum, {}, config);
   ExecStats before = AmbientExecContext().Snapshot();
@@ -196,7 +196,7 @@ void BM_WhenAggRow(benchmark::State& state) {
 }
 
 void BM_WhenAggColumnar(benchmark::State& state) {
-  ColumnarConfig config = Config(/*threads=*/1);
+  PhysicalPolicy config = Config(/*threads=*/1);
   Fixture& fx = SharedFixture();
   CheckAggIdentity(fx.overlay_view, AggFunc::kSum, kGroupCols, config);
   ExecStats before = AmbientExecContext().Snapshot();

@@ -21,11 +21,8 @@
 //   \nodes                  list the scenario tree
 //   \at [NODE]              run subsequent queries at NODE (default root)
 //   \compare A B QUERY      (QUERY at A) - (QUERY at B)
-//   \set [KNOB VALUE]       engine knob by name; bare \set lists them all
-//   \profile NAME           load a named profile: fast | safe | all-on
-//   \strategy NAME          shorthand for \set strategy NAME
-//   \columnar on|off        shorthand for \set columnar auto|off
-//   \incremental on|off     shorthand for \set incremental auto|off
+//   \set [KNOB VALUE]       engine knob by name (`\set profile fast`,
+//                           `\set columnar auto`); bare \set lists them all
 //   \explain QUERY          show the lazy rewrite and the hybrid plan
 //   \analyze QUERY          EXPLAIN ANALYZE at the current node
 //   \stats                  this session's accumulated ExecStats (JSON)
@@ -46,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "ast/query.h"
 #include "ast/typecheck.h"
 #include "common/rng.h"
 #include "eval/simd.h"
@@ -106,10 +104,7 @@ void Help() {
       "  \\at [NODE]              query at NODE (default root)\n"
       "  \\compare A B QUERY      (QUERY at A) - (QUERY at B)\n"
       "  \\set [KNOB VALUE]       tune one engine knob; bare \\set lists\n"
-      "  \\profile NAME           fast | safe | all-on\n"
-      "  \\strategy NAME          direct|lazy|filter1|filter2|filter3|hybrid\n"
-      "  \\columnar on|off        vectorized kernels for large flat bases\n"
-      "  \\incremental on|off     patch cached results under small edits\n"
+      "                          them (profile, strategy, columnar, ...)\n"
       "  \\explain QUERY          show rewrites and plan\n"
       "  \\analyze QUERY          run traced at the current node\n"
       "  \\stats                  session ExecStats as JSON\n"
@@ -296,57 +291,12 @@ void HandleCommand(ShellState* st, const std::string& line) {
     std::string knob, value;
     in >> knob >> value;
     if (knob.empty()) {
-      std::printf("%s\n", st->session->options().Describe().c_str());
+      std::printf("%s simd=%s\n", st->session->options().Describe().c_str(),
+                  SimdIsaName());
       return;
     }
     Status set = st->session->Set(knob, value);
     std::printf("%s\n", set.ok() ? "ok" : set.ToString().c_str());
-  } else if (cmd == "\\profile") {
-    std::string name;
-    in >> name;
-    Status set = st->session->SetProfile(name);
-    if (!set.ok()) {
-      std::printf("error: %s\n", set.ToString().c_str());
-      return;
-    }
-    std::printf("profile %s: %s\n", name.c_str(),
-                st->session->options().Describe().c_str());
-  } else if (cmd == "\\strategy") {
-    std::string name;
-    in >> name;
-    Status set = st->session->Set("strategy", name);
-    if (!set.ok()) {
-      std::printf("%s\n", set.ToString().c_str());
-      return;
-    }
-    std::printf("strategy = %s\n", name.c_str());
-  } else if (cmd == "\\columnar") {
-    std::string mode;
-    in >> mode;
-    if (mode != "on" && mode != "off") {
-      std::printf("usage: \\columnar on|off\n");
-      return;
-    }
-    Status set = st->session->Set("columnar", mode == "on" ? "auto" : "off");
-    if (!set.ok()) {
-      std::printf("error: %s\n", set.ToString().c_str());
-      return;
-    }
-    std::printf("columnar = %s (simd: %s)\n", mode.c_str(), SimdIsaName());
-  } else if (cmd == "\\incremental") {
-    std::string mode;
-    in >> mode;
-    if (mode != "on" && mode != "off") {
-      std::printf("usage: \\incremental on|off\n");
-      return;
-    }
-    Status set =
-        st->session->Set("incremental", mode == "on" ? "auto" : "off");
-    if (!set.ok()) {
-      std::printf("error: %s\n", set.ToString().c_str());
-      return;
-    }
-    std::printf("incremental = %s\n", mode.c_str());
   } else if (cmd == "\\explain") {
     std::string rest;
     std::getline(in, rest);

@@ -306,62 +306,25 @@ void ExecContext::MergeFrom(const ExecStats& stats) {
 }
 
 void ExecContext::Reset() {
-  ResetMemoCounters();
-  ResetViewCounters();
-  ResetIndexCounters();
-  ResetGovernorCounters();
-  ResetColumnarCounters();
-  ResetIncrementalCounters();
+  for (std::atomic<uint64_t>* c :
+       {&memo_hits_, &memo_misses_, &views_created_, &view_consolidations_,
+        &view_tuples_shared_, &view_tuples_copied_, &indexes_built_,
+        &indexes_shared_, &index_probes_, &index_tuples_skipped_,
+        &governor_deadline_trips_, &governor_tuple_trips_,
+        &governor_rewrite_trips_, &governor_cancellations_,
+        &governor_lazy_fallbacks_, &governor_index_fallbacks_,
+        &governor_max_tuples_charged_, &governor_max_rewrite_nodes_charged_,
+        &columnar_batches_built_, &columnar_batches_reused_,
+        &columnar_morsels_dispatched_, &columnar_rows_vectorized_,
+        &columnar_rows_fallback_, &columnar_agg_rows_vectorized_,
+        &columnar_agg_groups_, &columnar_when_routed_,
+        &incremental_results_patched_, &incremental_edits_propagated_,
+        &incremental_fallbacks_}) {
+    c->store(0, std::memory_order_relaxed);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   route_.clear();
   spans_.clear();
-}
-
-void ExecContext::ResetMemoCounters() {
-  memo_hits_.store(0, std::memory_order_relaxed);
-  memo_misses_.store(0, std::memory_order_relaxed);
-}
-
-void ExecContext::ResetViewCounters() {
-  views_created_.store(0, std::memory_order_relaxed);
-  view_consolidations_.store(0, std::memory_order_relaxed);
-  view_tuples_shared_.store(0, std::memory_order_relaxed);
-  view_tuples_copied_.store(0, std::memory_order_relaxed);
-}
-
-void ExecContext::ResetIndexCounters() {
-  indexes_built_.store(0, std::memory_order_relaxed);
-  indexes_shared_.store(0, std::memory_order_relaxed);
-  index_probes_.store(0, std::memory_order_relaxed);
-  index_tuples_skipped_.store(0, std::memory_order_relaxed);
-}
-
-void ExecContext::ResetGovernorCounters() {
-  governor_deadline_trips_.store(0, std::memory_order_relaxed);
-  governor_tuple_trips_.store(0, std::memory_order_relaxed);
-  governor_rewrite_trips_.store(0, std::memory_order_relaxed);
-  governor_cancellations_.store(0, std::memory_order_relaxed);
-  governor_lazy_fallbacks_.store(0, std::memory_order_relaxed);
-  governor_index_fallbacks_.store(0, std::memory_order_relaxed);
-  governor_max_tuples_charged_.store(0, std::memory_order_relaxed);
-  governor_max_rewrite_nodes_charged_.store(0, std::memory_order_relaxed);
-}
-
-void ExecContext::ResetColumnarCounters() {
-  columnar_batches_built_.store(0, std::memory_order_relaxed);
-  columnar_batches_reused_.store(0, std::memory_order_relaxed);
-  columnar_morsels_dispatched_.store(0, std::memory_order_relaxed);
-  columnar_rows_vectorized_.store(0, std::memory_order_relaxed);
-  columnar_rows_fallback_.store(0, std::memory_order_relaxed);
-  columnar_agg_rows_vectorized_.store(0, std::memory_order_relaxed);
-  columnar_agg_groups_.store(0, std::memory_order_relaxed);
-  columnar_when_routed_.store(0, std::memory_order_relaxed);
-}
-
-void ExecContext::ResetIncrementalCounters() {
-  incremental_results_patched_.store(0, std::memory_order_relaxed);
-  incremental_edits_propagated_.store(0, std::memory_order_relaxed);
-  incremental_fallbacks_.store(0, std::memory_order_relaxed);
 }
 
 ExecContext* CurrentExecContext() { return t_current_context; }

@@ -28,8 +28,8 @@
 //                      kernels; a no-op unless the ambient context has
 //                      tracing enabled.
 //
-// Charging falls back to a process-default context when no scope is
-// installed. To observe the work a piece of code does, install an
+// Charges made outside any scope go to a process-wide fallback context.
+// To observe the work a piece of code does, install an
 // ExecContextScope over a fresh context and read its Snapshot().
 
 #include <atomic>
@@ -202,15 +202,6 @@ class ExecContext {
   /// Zeroes every counter, the route, and the span list.
   void Reset();
 
-  // Category resets backing the deprecated Reset{View,Index,Governor}Stats
-  // shims: each clears only its own counters.
-  void ResetViewCounters();
-  void ResetIndexCounters();
-  void ResetGovernorCounters();
-  void ResetMemoCounters();
-  void ResetColumnarCounters();
-  void ResetIncrementalCounters();
-
  private:
   static void Bump(std::atomic<uint64_t>* c, uint64_t n = 1) {
     c->fetch_add(n, std::memory_order_relaxed);
@@ -263,12 +254,13 @@ class ExecContext {
 /// none is installed.
 ExecContext* CurrentExecContext();
 
-/// The process-default context backing the deprecated Global*Stats shims;
-/// charges land here when no scope is installed.
+/// The process-wide fallback context: it collects the charges made outside
+/// any ExecContextScope (library calls with no context installed), so no
+/// charge is lost and Explain can still report them.
 ExecContext& ProcessDefaultExecContext();
 
 /// The context charges on this thread go to: the installed one, else the
-/// process default.
+/// process-wide fallback.
 inline ExecContext& AmbientExecContext() {
   ExecContext* ctx = CurrentExecContext();
   return ctx != nullptr ? *ctx : ProcessDefaultExecContext();
@@ -276,8 +268,8 @@ inline ExecContext& AmbientExecContext() {
 
 /// RAII installation of a context into the thread-local slot. Scopes nest;
 /// the previous context is restored on destruction. Passing nullptr
-/// shields an inner region (its charges fall through to the process
-/// default).
+/// shields an inner region: its charges go to the process-wide fallback,
+/// like charges made outside any scope.
 class ExecContextScope {
  public:
   explicit ExecContextScope(ExecContext* context);

@@ -249,7 +249,7 @@ RelationView OverlayLeaf(const RelationView& stored, const DeltaPair* p) {
 Result<RelationView> EvalFilterDNode(
     const QueryPtr& query, const Database& db, const DeltaValue& delta,
     const std::map<std::string, RelationView>* temps,
-    const IndexConfig& config, const ColumnarConfig& columnar) {
+    const PhysicalPolicy& policy) {
   if (query == nullptr) {
     return Status::InvalidArgument("EvalFilterD: query must not be null");
   }
@@ -286,15 +286,15 @@ Result<RelationView> EvalFilterDNode(
         const DeltaPair* p = delta.Get(name);
         RelationView in = OverlayLeaf(stored, p);
         std::optional<Relation> fast =
-            TryIndexedFilter(in, query->predicate(), config);
+            TryIndexedFilter(in, query->predicate(), policy);
         if (fast.has_value()) return RelationView(*std::move(fast));
         std::optional<Relation> col =
-            TryColumnarFilter(in, query->predicate(), columnar);
+            TryColumnarFilter(in, query->predicate(), policy);
         if (col.has_value()) {
           if (p != nullptr) AmbientExecContext().AddColumnarWhenRouted();
           return RelationView(*std::move(col));
         }
-        if (columnar.enabled()) {
+        if (policy.columnar_enabled()) {
           AmbientExecContext().AddColumnarRowsFallback(in.size());
         }
         if (stored.is_flat()) {
@@ -308,49 +308,49 @@ Result<RelationView> EvalFilterDNode(
       }
       HQL_ASSIGN_OR_RETURN(
           RelationView in,
-          EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->left(), db, delta, temps, policy));
       return RelationView(
-          VectorizedFilter(in, query->predicate(), config, columnar));
+          VectorizedFilter(in, query->predicate(), policy));
     }
     case QueryKind::kProject: {
       HQL_ASSIGN_OR_RETURN(
           RelationView in,
-          EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->left(), db, delta, temps, policy));
       return RelationView(ProjectRelation(in, query->columns()));
     }
     case QueryKind::kAggregate: {
       HQL_ASSIGN_OR_RETURN(
           RelationView in,
-          EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->left(), db, delta, temps, policy));
       return RelationView(VectorizedAggregate(in, query->columns(),
                                               query->agg_func(),
-                                              query->agg_column(), columnar));
+                                              query->agg_column(), policy));
     }
     case QueryKind::kUnion: {
       HQL_ASSIGN_OR_RETURN(
           RelationView l,
-          EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->left(), db, delta, temps, policy));
       HQL_ASSIGN_OR_RETURN(
           RelationView r,
-          EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->right(), db, delta, temps, policy));
       return RelationView(ViewUnion(l, r));
     }
     case QueryKind::kIntersect: {
       HQL_ASSIGN_OR_RETURN(
           RelationView l,
-          EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->left(), db, delta, temps, policy));
       HQL_ASSIGN_OR_RETURN(
           RelationView r,
-          EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->right(), db, delta, temps, policy));
       return RelationView(ViewIntersect(l, r));
     }
     case QueryKind::kProduct: {
       HQL_ASSIGN_OR_RETURN(
           RelationView l,
-          EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->left(), db, delta, temps, policy));
       HQL_ASSIGN_OR_RETURN(
           RelationView r,
-          EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->right(), db, delta, temps, policy));
       return RelationView(ViewProduct(l, r));
     }
     case QueryKind::kJoin: {
@@ -370,17 +370,17 @@ Result<RelationView> EvalFilterDNode(
         RelationView l = OverlayLeaf(lstored, pl);
         RelationView r = OverlayLeaf(rstored, pr);
         std::optional<Relation> fast =
-            TryIndexedJoin(l, r, query->predicate(), config);
+            TryIndexedJoin(l, r, query->predicate(), policy);
         if (fast.has_value()) return RelationView(*std::move(fast));
         std::optional<Relation> col =
-            TryColumnarJoin(l, r, query->predicate(), columnar);
+            TryColumnarJoin(l, r, query->predicate(), policy);
         if (col.has_value()) {
           if (pl != nullptr || pr != nullptr) {
             AmbientExecContext().AddColumnarWhenRouted();
           }
           return RelationView(*std::move(col));
         }
-        if (columnar.enabled()) {
+        if (policy.columnar_enabled()) {
           AmbientExecContext().AddColumnarRowsFallback(l.size() + r.size());
         }
         if (lstored.is_flat() && rstored.is_flat()) {
@@ -399,20 +399,20 @@ Result<RelationView> EvalFilterDNode(
       }
       HQL_ASSIGN_OR_RETURN(
           RelationView l,
-          EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->left(), db, delta, temps, policy));
       HQL_ASSIGN_OR_RETURN(
           RelationView r,
-          EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->right(), db, delta, temps, policy));
       return RelationView(
-          VectorizedJoin(l, r, query->predicate(), config, columnar));
+          VectorizedJoin(l, r, query->predicate(), policy));
     }
     case QueryKind::kDifference: {
       HQL_ASSIGN_OR_RETURN(
           RelationView l,
-          EvalFilterDNode(query->left(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->left(), db, delta, temps, policy));
       HQL_ASSIGN_OR_RETURN(
           RelationView r,
-          EvalFilterDNode(query->right(), db, delta, temps, config, columnar));
+          EvalFilterDNode(query->right(), db, delta, temps, policy));
       return RelationView(ViewDifference(l, r));
     }
     case QueryKind::kWhen:
@@ -428,10 +428,10 @@ Result<RelationView> EvalFilterDNode(
 Result<RelationView> EvalFilterDView(
     const QueryPtr& query, const Database& db, const DeltaValue& delta,
     const std::map<std::string, RelationView>* temps,
-    const IndexConfig& config, const ColumnarConfig& columnar) {
+    const PhysicalPolicy& policy) {
   HQL_ASSIGN_OR_RETURN(
       RelationView out,
-      EvalFilterDNode(query, db, delta, temps, config, columnar));
+      EvalFilterDNode(query, db, delta, temps, policy));
   // Discard a root-operator kernel's truncated output on trip.
   HQL_RETURN_IF_ERROR(GovernorCheck());
   return out;
@@ -440,11 +440,10 @@ Result<RelationView> EvalFilterDView(
 Result<Relation> EvalFilterD(const QueryPtr& query, const Database& db,
                              const DeltaValue& delta,
                              const std::map<std::string, RelationView>* temps,
-                             const IndexConfig& config,
-                             const ColumnarConfig& columnar) {
+                             const PhysicalPolicy& policy) {
   HQL_ASSIGN_OR_RETURN(
       RelationView out,
-      EvalFilterDNode(query, db, delta, temps, config, columnar));
+      EvalFilterDNode(query, db, delta, temps, policy));
   HQL_RETURN_IF_ERROR(GovernorCheck());
   return out.Materialize();
 }

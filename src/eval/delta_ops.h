@@ -19,9 +19,8 @@
 #include "ast/query.h"
 #include "common/result.h"
 #include "eval/delta.h"
-#include "storage/column_batch.h"
+#include "eval/physical_policy.h"
 #include "storage/database.h"
-#include "storage/index.h"
 
 namespace hql {
 
@@ -71,25 +70,23 @@ Relation SelectWhen(const Relation& base, const DeltaPair* delta,
 /// other shape consumes copy-on-write views through the merge-aware
 /// relational operators. `temps` (nullable) resolves collapse placeholders
 /// ("#i") to already-computed views, which the delta does not filter.
-/// `config` (default off) lets equality selections and equi-joins probe
-/// base-relation indexes, patched with the delta at probe time.
-/// `columnar` (default off) lets large flat-base selections and equi-joins
-/// run the vectorized morsel kernels (eval/vector_exec.h), with the delta
-/// patched in row-wise.
+/// `policy` (default: every accelerator off) lets equality selections and
+/// equi-joins probe base-relation indexes, patched with the delta at probe
+/// time, and large flat-base selections, equi-joins and aggregates run the
+/// vectorized morsel kernels (eval/vector_exec.h), with the delta patched
+/// in row-wise.
 Result<Relation> EvalFilterD(const QueryPtr& query, const Database& db,
                              const DeltaValue& delta,
                              const std::map<std::string, RelationView>* temps =
                                  nullptr,
-                             const IndexConfig& config = IndexConfig(),
-                             const ColumnarConfig& columnar = ColumnarConfig());
+                             const PhysicalPolicy& policy = PhysicalPolicy());
 
 /// EvalFilterD returning the result as a view: an untouched leaf scan is a
 /// refcount bump and a delta'd leaf is an O(|delta|) overlay.
 Result<RelationView> EvalFilterDView(
     const QueryPtr& query, const Database& db, const DeltaValue& delta,
     const std::map<std::string, RelationView>* temps = nullptr,
-    const IndexConfig& config = IndexConfig(),
-    const ColumnarConfig& columnar = ColumnarConfig());
+    const PhysicalPolicy& policy = PhysicalPolicy());
 
 }  // namespace hql
 

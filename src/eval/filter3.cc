@@ -15,17 +15,16 @@ namespace hql {
 namespace {
 
 Result<RelationView> F3(const CollapsedPtr& node, const Database& db,
-                        const DeltaValue& env, const IndexConfig& config,
-                        const ColumnarConfig& columnar) {
+                        const DeltaValue& env, const PhysicalPolicy& policy) {
   HQL_RETURN_IF_ERROR(GovernorCheck());
   if (node->kind == CollapsedKind::kBlock) {
     std::map<std::string, RelationView> temps;
     for (size_t i = 0; i < node->holes.size(); ++i) {
       HQL_ASSIGN_OR_RETURN(RelationView hole,
-                           F3(node->holes[i], db, env, config, columnar));
+                           F3(node->holes[i], db, env, policy));
       temps.emplace(PlaceholderName(i), std::move(hole));
     }
-    return EvalFilterDView(node->block, db, env, &temps, config, columnar);
+    return EvalFilterDView(node->block, db, env, &temps, policy);
   }
   // kWhen.
   if (!node->state_is_update) {
@@ -37,7 +36,7 @@ Result<RelationView> F3(const CollapsedPtr& node, const Database& db,
     values.reserve(node->bindings.size());
     for (const CollapsedBinding& b : node->bindings) {
       HQL_ASSIGN_OR_RETURN(RelationView v,
-                           F3(b.value, db, env, config, columnar));
+                           F3(b.value, db, env, policy));
       values.emplace_back(b.rel_name, std::move(v));
     }
     DeltaValue precise;
@@ -53,14 +52,14 @@ Result<RelationView> F3(const CollapsedPtr& node, const Database& db,
       precise.Bind(name, DeltaPair(ViewDifference(cur, value),
                                    ViewDifference(value, cur)));
     }
-    return F3(node->input, db, env.SmashWith(precise), config, columnar);
+    return F3(node->input, db, env.SmashWith(precise), policy);
   }
   // Accumulate the atoms' delta left to right (Figure 4's smash chain).
   DeltaValue acc;
   for (const CollapsedAtom& atom : node->atoms) {
     DeltaValue current = env.SmashWith(acc);
     HQL_ASSIGN_OR_RETURN(RelationView value_view,
-                         F3(atom.arg, db, current, config, columnar));
+                         F3(atom.arg, db, current, policy));
     Relation value = value_view.Materialize();
     size_t arity = value.arity();
     DeltaValue atom_delta;
@@ -73,7 +72,7 @@ Result<RelationView> F3(const CollapsedPtr& node, const Database& db,
     }
     acc = acc.SmashWith(atom_delta);
   }
-  return F3(node->input, db, env.SmashWith(acc), config, columnar);
+  return F3(node->input, db, env.SmashWith(acc), policy);
 }
 
 }  // namespace
@@ -109,7 +108,7 @@ Result<Relation> RunFilter3(const QueryPtr& query, const Database& db,
   HQL_ASSIGN_OR_RETURN(
       RelationView out,
       F3(tree, db, options.env != nullptr ? *options.env : empty,
-         options.indexes, options.columnar));
+         options.policy));
   HQL_RETURN_IF_ERROR(GovernorCheck());
   return out.Materialize();
 }

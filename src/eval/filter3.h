@@ -21,10 +21,9 @@
 #include "ast/forward.h"
 #include "common/result.h"
 #include "eval/delta.h"
+#include "eval/physical_policy.h"
 #include "hql/collapse.h"
-#include "storage/column_batch.h"
 #include "storage/database.h"
-#include "storage/index.h"
 
 namespace hql {
 
@@ -36,10 +35,8 @@ struct Filter3Options {
   /// Already collapsed mod-ENF tree. When set, `query` is ignored and the
   /// normalize + Collapse step is skipped.
   CollapsedPtr collapsed;
-  /// Index policy for the RA blocks (default off).
-  IndexConfig indexes;
-  /// Columnar/vectorized execution policy for the RA blocks (default off).
-  ColumnarConfig columnar;
+  /// Index and columnar policy for the RA blocks (default off).
+  PhysicalPolicy policy;
 };
 
 /// Evaluates `query` in `db` with algorithm HQL-3: converts to mod-ENF

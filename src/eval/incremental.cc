@@ -16,16 +16,6 @@
 
 namespace hql {
 
-const char* IncrementalModeName(IncrementalMode mode) {
-  switch (mode) {
-    case IncrementalMode::kOff:
-      return "off";
-    case IncrementalMode::kAuto:
-      return "auto";
-  }
-  return "off";
-}
-
 std::shared_ptr<const IncrementalEntry> IncrementalRecorder::TakeEntry(
     RelationView result, uint64_t state_fingerprint) {
   auto entry = std::make_shared<IncrementalEntry>(std::move(entry_));

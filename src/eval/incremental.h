@@ -52,31 +52,6 @@
 
 namespace hql {
 
-/// Planner knob: kOff disables the machinery entirely; kAuto patches when a
-/// cached execution qualifies and the estimator prefers the patch.
-enum class IncrementalMode {
-  kOff,
-  kAuto,
-};
-
-const char* IncrementalModeName(IncrementalMode mode);
-
-/// The incremental policy threaded from PlannerOptions into execution.
-struct IncrementalConfig {
-  IncrementalMode mode = IncrementalMode::kOff;
-  /// Caller-owned entry store; null disables incremental execution even in
-  /// kAuto mode (there is nowhere to remember executions between calls).
-  IncrementalCache* cache = nullptr;
-  /// Edits larger than this fraction of the changed relations' content fall
-  /// back to full evaluation (the incremental break-even mirror of the view
-  /// layer's consolidation fraction).
-  double max_edit_fraction = 0.10;
-
-  bool enabled() const {
-    return mode != IncrementalMode::kOff && cache != nullptr;
-  }
-};
-
 /// Collects one execution's per-node outputs and leaf input views while the
 /// RA evaluator runs (hooked via EvalMemo::recorder), producing the
 /// IncrementalEntry a later execution patches against. Not thread-safe: one

@@ -82,14 +82,14 @@ namespace {
 // earned its build.
 RelationIndexPtr LookupIndex(const RelationPtr& base,
                              const std::vector<size_t>& columns,
-                             const IndexConfig& config) {
-  switch (config.mode) {
+                             const PhysicalPolicy& policy) {
+  switch (policy.index_mode) {
     case IndexMode::kOff:
       return nullptr;
     case IndexMode::kManual:
       return base->ExistingIndex(columns);
     case IndexMode::kAdvisor:
-      if (config.advisor == nullptr) return base->ExistingIndex(columns);
+      if (policy.index_advisor == nullptr) return base->ExistingIndex(columns);
       // Under a governor, an advisor-driven build over a base past the
       // index-build budget (or on an already-tripped execution) degrades to
       // whatever index already exists — a scan otherwise — instead of
@@ -99,7 +99,7 @@ RelationIndexPtr LookupIndex(const RelationPtr& base,
         AddIndexFallback();
         return base->ExistingIndex(columns);
       }
-      return config.advisor->Advise(base, columns);
+      return policy.index_advisor->Advise(base, columns);
   }
   return nullptr;
 }
@@ -115,17 +115,17 @@ bool ResidualOk(const std::vector<ScalarExprPtr>& residual, const Tuple& t) {
 
 std::optional<Relation> TryIndexedFilter(const RelationView& input,
                                          const ScalarExprPtr& pred,
-                                         const IndexConfig& config) {
-  if (!config.enabled() || pred == nullptr) return std::nullopt;
+                                         const PhysicalPolicy& policy) {
+  if (!policy.index_enabled() || pred == nullptr) return std::nullopt;
   const RelationPtr& base = input.base();
-  if (base->size() < config.min_index_rows) return std::nullopt;
+  if (base->size() < policy.index_min_rows) return std::nullopt;
   std::optional<SargablePredicate> sarg = ExtractSargable(pred);
   if (!sarg.has_value()) return std::nullopt;
   // Out-of-arity columns evaluate to null under the scan semantics (and
   // `null = null` is true); that never matches hash-key semantics, so only
   // in-range prefixes are probeable.
   if (sarg->columns.back() >= input.arity()) return std::nullopt;
-  RelationIndexPtr index = LookupIndex(base, sarg->columns, config);
+  RelationIndexPtr index = LookupIndex(base, sarg->columns, policy);
   if (index == nullptr) return std::nullopt;
 
   TraceSpan trace("index-select", input.size());
@@ -160,9 +160,9 @@ std::optional<Relation> TryIndexedFilter(const RelationView& input,
 }
 
 Relation IndexedFilter(const RelationView& input, const ScalarExprPtr& pred,
-                       const IndexConfig& config) {
+                       const PhysicalPolicy& policy) {
   HQL_CHECK(pred != nullptr);
-  std::optional<Relation> fast = TryIndexedFilter(input, pred, config);
+  std::optional<Relation> fast = TryIndexedFilter(input, pred, policy);
   if (fast.has_value()) return *std::move(fast);
   return FilterRelation(input, *pred);
 }
@@ -170,8 +170,8 @@ Relation IndexedFilter(const RelationView& input, const ScalarExprPtr& pred,
 std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
                                        const RelationView& rhs,
                                        const ScalarExprPtr& pred,
-                                       const IndexConfig& config) {
-  if (!config.enabled() || pred == nullptr) return std::nullopt;
+                                       const PhysicalPolicy& policy) {
+  if (!policy.index_enabled() || pred == nullptr) return std::nullopt;
   std::vector<std::pair<size_t, size_t>> equi;
   std::vector<ScalarExprPtr> residual;
   SplitJoinPredicate(pred, lhs.arity(), &equi, &residual);
@@ -183,7 +183,7 @@ std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
   const bool index_rhs = rhs.base()->size() >= lhs.base()->size();
   const RelationView& big = index_rhs ? rhs : lhs;
   const RelationView& small = index_rhs ? lhs : rhs;
-  if (big.base()->size() < config.min_index_rows) return std::nullopt;
+  if (big.base()->size() < policy.index_min_rows) return std::nullopt;
 
   // (index column on big, probe column on small), ascending by index
   // column — the index key shape. A column equated twice cannot form an
@@ -206,7 +206,7 @@ std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
   columns.reserve(pairs.size());
   for (const auto& [big_col, small_col] : pairs) columns.push_back(big_col);
 
-  RelationIndexPtr index = LookupIndex(big.base(), columns, config);
+  RelationIndexPtr index = LookupIndex(big.base(), columns, policy);
   if (index == nullptr) return std::nullopt;
 
   TraceSpan trace("index-join", lhs.size() + rhs.size());
@@ -252,8 +252,9 @@ std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
 }
 
 Relation IndexedJoin(const RelationView& lhs, const RelationView& rhs,
-                     const ScalarExprPtr& pred, const IndexConfig& config) {
-  std::optional<Relation> fast = TryIndexedJoin(lhs, rhs, pred, config);
+                     const ScalarExprPtr& pred,
+                     const PhysicalPolicy& policy) {
+  std::optional<Relation> fast = TryIndexedJoin(lhs, rhs, pred, policy);
   if (fast.has_value()) return *std::move(fast);
   return JoinRelations(lhs, rhs, pred);
 }

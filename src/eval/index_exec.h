@@ -11,14 +11,15 @@
 // All kernels are exact: they return nullopt (callers fall back to the
 // scan kernels in ra_eval.h / delta_ops.h) whenever any part of the
 // predicate could diverge from hash-key semantics, and otherwise produce
-// byte-identical results to the scan. IndexConfig{} (mode off) disables
-// them entirely.
+// byte-identical results to the scan. A default PhysicalPolicy (index mode
+// off) disables them entirely.
 
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "ast/scalar_expr.h"
+#include "eval/physical_policy.h"
 #include "storage/index.h"
 #include "storage/relation.h"
 #include "storage/view.h"
@@ -52,16 +53,16 @@ void SplitJoinPredicate(const ScalarExprPtr& pred, size_t split,
 
 /// sigma_pred(input) answered by probing an index on input's base: base
 /// matches (minus dels, filtered by the residual) merged with a full-
-/// predicate filter of adds. Returns nullopt when the config, base size,
-/// predicate shape, or index policy rules the probe out.
+/// predicate filter of adds. Returns nullopt when the index mode, base size,
+/// predicate shape, or advisor rules the probe out.
 std::optional<Relation> TryIndexedFilter(const RelationView& input,
                                          const ScalarExprPtr& pred,
-                                         const IndexConfig& config);
+                                         const PhysicalPolicy& policy);
 
 /// TryIndexedFilter with scan fallback; always equals
 /// FilterRelation(input, *pred). `pred` must be non-null.
 Relation IndexedFilter(const RelationView& input, const ScalarExprPtr& pred,
-                       const IndexConfig& config);
+                       const PhysicalPolicy& policy);
 
 /// lhs join_pred rhs as an index-nested-loop join: probes an index on the
 /// larger side's base with each tuple of the smaller side (adds of the
@@ -70,12 +71,13 @@ Relation IndexedFilter(const RelationView& input, const ScalarExprPtr& pred,
 std::optional<Relation> TryIndexedJoin(const RelationView& lhs,
                                        const RelationView& rhs,
                                        const ScalarExprPtr& pred,
-                                       const IndexConfig& config);
+                                       const PhysicalPolicy& policy);
 
 /// TryIndexedJoin with hash-join fallback; always equals
 /// JoinRelations(lhs, rhs, pred).
 Relation IndexedJoin(const RelationView& lhs, const RelationView& rhs,
-                     const ScalarExprPtr& pred, const IndexConfig& config);
+                     const ScalarExprPtr& pred,
+                     const PhysicalPolicy& policy);
 
 }  // namespace hql
 

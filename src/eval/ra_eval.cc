@@ -291,9 +291,8 @@ Result<RelationView> EvalRaNode(const QueryPtr& query,
 Result<RelationView> EvalRaCompute(const QueryPtr& query,
                                    const RelResolver& resolver,
                                    const EvalMemo* memo) {
-  const IndexConfig indexes = memo != nullptr ? memo->indexes : IndexConfig();
-  const ColumnarConfig columnar =
-      memo != nullptr ? memo->columnar : ColumnarConfig();
+  static const PhysicalPolicy kNoPolicy;
+  const PhysicalPolicy& policy = memo != nullptr ? memo->policy : kNoPolicy;
   switch (query->kind()) {
     case QueryKind::kRel:
       return resolver.Resolve(query->rel_name());
@@ -315,12 +314,12 @@ Result<RelationView> EvalRaCompute(const QueryPtr& query,
         if (child->kind() == QueryKind::kJoin) {
           pred = ScalarExpr::Binary(ScalarOp::kAnd, pred, child->predicate());
         }
-        return RelationView(VectorizedJoin(l, r, pred, indexes, columnar));
+        return RelationView(VectorizedJoin(l, r, pred, policy));
       }
       HQL_ASSIGN_OR_RETURN(RelationView in,
                            EvalRaNode(child, resolver, memo));
       return RelationView(
-          VectorizedFilter(in, query->predicate(), indexes, columnar));
+          VectorizedFilter(in, query->predicate(), policy));
     }
     case QueryKind::kProject: {
       HQL_ASSIGN_OR_RETURN(RelationView in,
@@ -332,7 +331,7 @@ Result<RelationView> EvalRaCompute(const QueryPtr& query,
                            EvalRaNode(query->left(), resolver, memo));
       return RelationView(VectorizedAggregate(in, query->columns(),
                                               query->agg_func(),
-                                              query->agg_column(), columnar));
+                                              query->agg_column(), policy));
     }
     case QueryKind::kUnion: {
       HQL_ASSIGN_OR_RETURN(RelationView l,
@@ -361,7 +360,7 @@ Result<RelationView> EvalRaCompute(const QueryPtr& query,
       HQL_ASSIGN_OR_RETURN(RelationView r,
                            EvalRaNode(query->right(), resolver, memo));
       return RelationView(
-          VectorizedJoin(l, r, query->predicate(), indexes, columnar));
+          VectorizedJoin(l, r, query->predicate(), policy));
     }
     case QueryKind::kDifference: {
       HQL_ASSIGN_OR_RETURN(RelationView l,
@@ -437,11 +436,11 @@ namespace {
 
 // A memo with no cache and no physical-operator policy adds nothing;
 // dropping it keeps the plain-evaluator fast path. A cacheless memo with
-// indexes or columnar execution enabled must still flow down (the configs
-// ride on it).
+// indexes or columnar execution enabled must still flow down (the policy
+// rides on it).
 const EvalMemo* MemoOrNull(const EvalMemo& memo) {
-  if (memo.cache == nullptr && !memo.indexes.enabled() &&
-      !memo.columnar.enabled() && memo.recorder == nullptr) {
+  if (memo.cache == nullptr && !memo.policy.index_enabled() &&
+      !memo.policy.columnar_enabled() && memo.recorder == nullptr) {
     return nullptr;
   }
   return &memo;

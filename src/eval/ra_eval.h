@@ -21,9 +21,8 @@
 #include "ast/query.h"
 #include "ast/scalar_expr.h"
 #include "common/result.h"
-#include "storage/column_batch.h"
+#include "eval/physical_policy.h"
 #include "storage/database.h"
-#include "storage/index.h"
 #include "storage/relation.h"
 #include "storage/view.h"
 
@@ -86,12 +85,10 @@ class IncrementalRecorder;
 struct EvalMemo {
   MemoCache* cache = nullptr;
   uint64_t state_fingerprint = 0;
-  /// Index policy for the physical operators (eval/index_exec.h). The
-  /// default (mode off) reproduces the scan kernels exactly.
-  IndexConfig indexes;
-  /// Columnar/vectorized execution policy (eval/vector_exec.h). The
-  /// default (mode off) reproduces the row kernels exactly.
-  ColumnarConfig columnar;
+  /// Index and columnar policy for the physical operators
+  /// (eval/index_exec.h, eval/vector_exec.h). The default (every mode off)
+  /// reproduces the scan and row kernels exactly.
+  PhysicalPolicy policy;
   /// When set, every evaluated node's output and every resolved leaf view
   /// are reported to the recorder (eval/incremental.h), capturing the
   /// execution for later incremental patching. Observation only — results

@@ -320,9 +320,10 @@ std::vector<uint32_t> DelPositions(const Relation& base,
   return out;
 }
 
-bool OverlayTooLarge(const RelationView& view, const ColumnarConfig& config) {
+bool OverlayTooLarge(const RelationView& view, const PhysicalPolicy& policy) {
   return static_cast<double>(view.delta_size()) >
-         config.max_delta_fraction * static_cast<double>(view.base()->size());
+         policy.columnar_max_delta_fraction *
+             static_cast<double>(view.base()->size());
 }
 
 }  // namespace
@@ -440,12 +441,12 @@ void EvalPredicateBatch(const ColumnBatch& batch, const VectorPredicate& pred,
 
 std::optional<Relation> TryColumnarFilter(const RelationView& input,
                                           const ScalarExprPtr& pred,
-                                          const ColumnarConfig& config) {
-  if (!config.enabled() || pred == nullptr) return std::nullopt;
+                                          const PhysicalPolicy& policy) {
+  if (!policy.columnar_enabled() || pred == nullptr) return std::nullopt;
   const RelationPtr& base = input.base();
   const size_t base_rows = base->size();
-  if (base_rows < config.min_rows) return std::nullopt;
-  if (OverlayTooLarge(input, config)) return std::nullopt;
+  if (base_rows < policy.columnar_min_rows) return std::nullopt;
+  if (OverlayTooLarge(input, policy)) return std::nullopt;
   if (!HasCompilableShape(pred)) return std::nullopt;
 
   ExecGovernor* gov = CurrentGovernor();
@@ -460,11 +461,11 @@ std::optional<Relation> TryColumnarFilter(const RelationView& input,
   const std::vector<Tuple>& tuples = base->tuples();
   const std::vector<uint32_t> del_pos = DelPositions(*base, input.dels());
 
-  const size_t morsel_rows = std::max<size_t>(config.morsel_rows, 1);
+  const size_t morsel_rows = std::max<size_t>(policy.columnar_morsel_rows, 1);
   const size_t num_morsels = (base_rows + morsel_rows - 1) / morsel_rows;
   std::vector<std::vector<Tuple>> slots(num_morsels);
   std::atomic<bool> stop{false};
-  MorselParallelFor(num_morsels, config.threads, [&](size_t m) {
+  MorselParallelFor(num_morsels, policy.columnar_threads, [&](size_t m) {
     if (stop.load(std::memory_order_relaxed)) return;
     const size_t mb = m * morsel_rows;
     const size_t me = std::min(base_rows, mb + morsel_rows);
@@ -523,8 +524,8 @@ std::optional<Relation> TryColumnarFilter(const RelationView& input,
 std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
                                         const RelationView& rhs,
                                         const ScalarExprPtr& pred,
-                                        const ColumnarConfig& config) {
-  if (!config.enabled() || pred == nullptr) return std::nullopt;
+                                        const PhysicalPolicy& policy) {
+  if (!policy.columnar_enabled() || pred == nullptr) return std::nullopt;
   std::vector<std::pair<size_t, size_t>> equi;
   std::vector<ScalarExprPtr> residual;
   SplitJoinPredicate(pred, lhs.arity(), &equi, &residual);
@@ -537,8 +538,8 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
   const RelationView& build = probe_lhs ? rhs : lhs;
   const RelationPtr& probe_base = probe.base();
   const size_t probe_rows = probe_base->size();
-  if (probe_rows < config.min_rows) return std::nullopt;
-  if (OverlayTooLarge(probe, config)) return std::nullopt;
+  if (probe_rows < policy.columnar_min_rows) return std::nullopt;
+  if (OverlayTooLarge(probe, policy)) return std::nullopt;
 
   std::vector<size_t> probe_cols;
   std::vector<size_t> build_cols;
@@ -592,7 +593,7 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
 
   const std::vector<Tuple>& probe_tuples = probe_base->tuples();
   const std::vector<uint32_t> del_pos = DelPositions(*probe_base, probe.dels());
-  const size_t morsel_rows = std::max<size_t>(config.morsel_rows, 1);
+  const size_t morsel_rows = std::max<size_t>(policy.columnar_morsel_rows, 1);
   const size_t num_morsels = (probe_rows + morsel_rows - 1) / morsel_rows;
   std::vector<std::vector<Tuple>> slots(num_morsels);
   std::atomic<bool> stop{false};
@@ -608,7 +609,7 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
     return true;
   };
 
-  MorselParallelFor(num_morsels, config.threads, [&](size_t m) {
+  MorselParallelFor(num_morsels, policy.columnar_threads, [&](size_t m) {
     if (stop.load(std::memory_order_relaxed)) return;
     const size_t mb = m * morsel_rows;
     const size_t me = std::min(probe_rows, mb + morsel_rows);
@@ -1030,8 +1031,8 @@ void ReduceGlobalMorsel(const ColumnBatch& batch,
 
 std::optional<Relation> TryColumnarAggregate(
     const RelationView& input, const std::vector<size_t>& group_columns,
-    AggFunc func, size_t agg_column, const ColumnarConfig& config) {
-  if (!config.enabled()) return std::nullopt;
+    AggFunc func, size_t agg_column, const PhysicalPolicy& policy) {
+  if (!policy.columnar_enabled()) return std::nullopt;
   const size_t arity = input.arity();
   if (agg_column >= arity) return std::nullopt;
   for (size_t c : group_columns) {
@@ -1039,8 +1040,8 @@ std::optional<Relation> TryColumnarAggregate(
   }
   const RelationPtr& base = input.base();
   const size_t base_rows = base->size();
-  if (base_rows < config.min_rows) return std::nullopt;
-  if (OverlayTooLarge(input, config)) return std::nullopt;
+  if (base_rows < policy.columnar_min_rows) return std::nullopt;
+  if (OverlayTooLarge(input, policy)) return std::nullopt;
 
   ExecGovernor* gov = CurrentGovernor();
   ColumnBatchPtr batch = base->ColumnarBatch();
@@ -1118,7 +1119,7 @@ std::optional<Relation> TryColumnarAggregate(
   TraceSpan span("columnar-aggregate", input.size());
   const std::vector<Tuple>& tuples = base->tuples();
   const std::vector<uint32_t> del_pos = DelPositions(*base, input.dels());
-  const size_t morsel_rows = std::max<size_t>(config.morsel_rows, 1);
+  const size_t morsel_rows = std::max<size_t>(policy.columnar_morsel_rows, 1);
   const size_t num_morsels = (base_rows + morsel_rows - 1) / morsel_rows;
   std::atomic<bool> stop{false};
   const bool global = group_columns.empty();
@@ -1211,7 +1212,7 @@ std::optional<Relation> TryColumnarAggregate(
     generic_partials.resize(num_morsels);
   }
 
-  MorselParallelFor(num_morsels, config.threads, [&](size_t m) {
+  MorselParallelFor(num_morsels, policy.columnar_threads, [&](size_t m) {
     if (stop.load(std::memory_order_relaxed)) return;
     const size_t mb = m * morsel_rows;
     const size_t me = std::min(base_rows, mb + morsel_rows);
@@ -1323,38 +1324,37 @@ std::optional<Relation> TryColumnarAggregate(
 Relation VectorizedAggregate(const RelationView& input,
                              const std::vector<size_t>& group_columns,
                              AggFunc func, size_t agg_column,
-                             const ColumnarConfig& columnar) {
+                             const PhysicalPolicy& policy) {
   std::optional<Relation> col =
-      TryColumnarAggregate(input, group_columns, func, agg_column, columnar);
+      TryColumnarAggregate(input, group_columns, func, agg_column, policy);
   if (col.has_value()) return *std::move(col);
-  if (columnar.enabled()) {
+  if (policy.columnar_enabled()) {
     AmbientExecContext().AddColumnarRowsFallback(input.size());
   }
   return AggregateRelation(input, group_columns, func, agg_column);
 }
 
 Relation VectorizedFilter(const RelationView& input, const ScalarExprPtr& pred,
-                          const IndexConfig& indexes,
-                          const ColumnarConfig& columnar) {
+                          const PhysicalPolicy& policy) {
   HQL_CHECK(pred != nullptr);
-  std::optional<Relation> fast = TryIndexedFilter(input, pred, indexes);
+  std::optional<Relation> fast = TryIndexedFilter(input, pred, policy);
   if (fast.has_value()) return *std::move(fast);
-  std::optional<Relation> col = TryColumnarFilter(input, pred, columnar);
+  std::optional<Relation> col = TryColumnarFilter(input, pred, policy);
   if (col.has_value()) return *std::move(col);
-  if (columnar.enabled()) {
+  if (policy.columnar_enabled()) {
     AmbientExecContext().AddColumnarRowsFallback(input.size());
   }
   return FilterRelation(input, *pred);
 }
 
 Relation VectorizedJoin(const RelationView& lhs, const RelationView& rhs,
-                        const ScalarExprPtr& pred, const IndexConfig& indexes,
-                        const ColumnarConfig& columnar) {
-  std::optional<Relation> fast = TryIndexedJoin(lhs, rhs, pred, indexes);
+                        const ScalarExprPtr& pred,
+                        const PhysicalPolicy& policy) {
+  std::optional<Relation> fast = TryIndexedJoin(lhs, rhs, pred, policy);
   if (fast.has_value()) return *std::move(fast);
-  std::optional<Relation> col = TryColumnarJoin(lhs, rhs, pred, columnar);
+  std::optional<Relation> col = TryColumnarJoin(lhs, rhs, pred, policy);
   if (col.has_value()) return *std::move(col);
-  if (columnar.enabled()) {
+  if (policy.columnar_enabled()) {
     AmbientExecContext().AddColumnarRowsFallback(lhs.size() + rhs.size());
   }
   return JoinRelations(lhs, rhs, pred);

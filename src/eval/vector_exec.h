@@ -15,8 +15,8 @@
 // All kernels are exact: they return nullopt (callers fall back to the row
 // kernels) whenever the input is too small, the overlay too large, or the
 // predicate not compilable to the conjunct-per-column form, and otherwise
-// produce byte-identical results to the scan. ColumnarConfig{} (mode off)
-// disables them entirely.
+// produce byte-identical results to the scan. A default PhysicalPolicy
+// (columnar mode off) disables them entirely.
 
 #include <cstdint>
 #include <optional>
@@ -24,8 +24,8 @@
 
 #include "ast/query.h"
 #include "ast/scalar_expr.h"
+#include "eval/physical_policy.h"
 #include "storage/column_batch.h"
-#include "storage/index.h"
 #include "storage/relation.h"
 #include "storage/view.h"
 
@@ -75,12 +75,12 @@ void EvalPredicateBatch(const ColumnBatch& batch, const VectorPredicate& pred,
                         size_t begin, size_t end, std::vector<uint32_t>* sel);
 
 /// sigma_pred(input) over the base's column batch, morsel-parallel, with
-/// the overlay patched in row-wise. Returns nullopt when the config, base
+/// the overlay patched in row-wise. Returns nullopt when the policy, base
 /// size, overlay size, or predicate shape rules vectorization out (callers
 /// fall back to the row scan).
 std::optional<Relation> TryColumnarFilter(const RelationView& input,
                                           const ScalarExprPtr& pred,
-                                          const ColumnarConfig& config);
+                                          const PhysicalPolicy& policy);
 
 /// lhs join_pred rhs as a vectorized hash join: builds on the smaller
 /// side, probes the larger side's column batch morsel-parallel. Returns
@@ -89,7 +89,7 @@ std::optional<Relation> TryColumnarFilter(const RelationView& input,
 std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
                                         const RelationView& rhs,
                                         const ScalarExprPtr& pred,
-                                        const ColumnarConfig& config);
+                                        const PhysicalPolicy& policy);
 
 /// gamma_{group_columns; func(agg_column)}(input) over the base's column
 /// batch: group keys are extracted from the typed arrays into a flat
@@ -97,7 +97,7 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
 /// fallback), with type-specialized count/sum/min/max accumulation loops,
 /// morsel-driven partial aggregation, and a merge phase; overlay adds are
 /// folded in row-wise after the base merge. Returns nullopt when the
-/// config, base size, or overlay size rules vectorization out, and also
+/// policy, base size, or overlay size rules vectorization out, and also
 /// when exactness would be at risk: float sums are order-sensitive, so
 /// kSum only vectorizes int64-encoded columns whose overlay adds are all
 /// ints (the row kernel's accumulation is then reproduced bit-for-bit),
@@ -108,7 +108,7 @@ std::optional<Relation> TryColumnarJoin(const RelationView& lhs,
 /// with the SIMD kernels from eval/simd.h.
 std::optional<Relation> TryColumnarAggregate(
     const RelationView& input, const std::vector<size_t>& group_columns,
-    AggFunc func, size_t agg_column, const ColumnarConfig& config);
+    AggFunc func, size_t agg_column, const PhysicalPolicy& policy);
 
 /// The routed aggregation kernel: columnar when it qualifies, then the row
 /// kernel; always equals AggregateRelation(input, group_columns, func,
@@ -116,20 +116,19 @@ std::optional<Relation> TryColumnarAggregate(
 Relation VectorizedAggregate(const RelationView& input,
                              const std::vector<size_t>& group_columns,
                              AggFunc func, size_t agg_column,
-                             const ColumnarConfig& columnar);
+                             const PhysicalPolicy& policy);
 
 /// The routed selection kernel: index probe, then columnar scan, then the
 /// row scan — first taker wins; always equals FilterRelation(input, *pred).
 /// `pred` must be non-null.
 Relation VectorizedFilter(const RelationView& input, const ScalarExprPtr& pred,
-                          const IndexConfig& indexes,
-                          const ColumnarConfig& columnar);
+                          const PhysicalPolicy& policy);
 
 /// The routed join kernel: index-nested-loop, then columnar hash join,
 /// then the row hash join; always equals JoinRelations(lhs, rhs, pred).
 Relation VectorizedJoin(const RelationView& lhs, const RelationView& rhs,
-                        const ScalarExprPtr& pred, const IndexConfig& indexes,
-                        const ColumnarConfig& columnar);
+                        const ScalarExprPtr& pred,
+                        const PhysicalPolicy& policy);
 
 }  // namespace hql
 

@@ -265,24 +265,14 @@ std::string EngineOptions::Describe() const {
 
 PlannerOptions EngineOptions::ToPlannerOptions(
     MemoCache* memo_cache, IndexAdvisor* advisor,
-    IncrementalCache* incremental) const {
+    IncrementalCache* incremental, CancelTokenPtr cancel_token) const {
   PlannerOptions p;
-  p.reuse_count = reuse_count;
-  p.max_lazy_tree_size = max_lazy_tree_size;
-  p.delta_fraction_threshold = delta_fraction_threshold;
+  static_cast<EvalSettings&>(p) = *this;
   p.memo = memo ? memo_cache : nullptr;
-  p.index_mode = index_mode;
   p.index_advisor = index_mode == IndexMode::kAdvisor ? advisor : nullptr;
-  p.index_min_rows = index_min_rows;
-  p.budget = budget;
-  p.columnar_mode = columnar_mode;
-  p.columnar_min_rows = columnar_min_rows;
-  p.columnar_morsel_rows = columnar_morsel_rows;
-  p.columnar_threads = columnar_threads;
-  p.incremental_mode = incremental_mode;
   p.incremental_cache =
       incremental_mode == IncrementalMode::kAuto ? incremental : nullptr;
-  p.incremental_edit_fraction = incremental_edit_fraction;
+  p.cancel_token = std::move(cancel_token);
   return p;
 }
 
@@ -533,9 +523,7 @@ Result<Relation> Session::RunAt(int index, const QueryPtr& query) {
     std::lock_guard<std::mutex> lock(mu_);
     HypoExprPtr state = PathState(index);
     composed = state == nullptr ? query : Query::When(query, state);
-    planner = options_.ToPlannerOptions(&engine_->memo_, &engine_->advisor_,
-                                        &engine_->incremental_);
-    planner.cancel_token = cancel_;
+    planner = PlannerConfigLocked();
     strategy = options_.strategy;
     base = base_;
   }
@@ -599,9 +587,7 @@ Result<AnalyzeReport> Session::Analyze(const std::string& node,
     HypoExprPtr state = PathState(i);
     composed = state == nullptr ? query : Query::When(query, state);
     opts.strategy = options_.strategy;
-    opts.planner = options_.ToPlannerOptions(
-        &engine_->memo_, &engine_->advisor_, &engine_->incremental_);
-    opts.planner.cancel_token = cancel_;
+    opts.planner = PlannerConfigLocked();
     base = base_;
   }
   if (cancel_->cancelled()) {
@@ -653,10 +639,6 @@ Status Session::Set(const std::string& knob, const std::string& value) {
   return Status::OK();
 }
 
-Status Session::SetProfile(const std::string& profile) {
-  return Set("profile", profile);
-}
-
 EngineOptions Session::options() const {
   std::lock_guard<std::mutex> lock(mu_);
   return options_;
@@ -666,10 +648,12 @@ ExecStats Session::Stats() const { return exec_.Snapshot(); }
 
 PlannerOptions Session::PlannerConfig() const {
   std::lock_guard<std::mutex> lock(mu_);
-  PlannerOptions p = options_.ToPlannerOptions(
-      &engine_->memo_, &engine_->advisor_, &engine_->incremental_);
-  p.cancel_token = cancel_;
-  return p;
+  return PlannerConfigLocked();
+}
+
+PlannerOptions Session::PlannerConfigLocked() const {
+  return options_.ToPlannerOptions(&engine_->memo_, &engine_->advisor_,
+                                   &engine_->incremental_, cancel_);
 }
 
 void Session::Cancel() { cancel_->Cancel(); }

@@ -9,8 +9,9 @@
 // caches and advisor pointers. The facade makes the composition the paper
 // implies a first-class object:
 //
-//   * EngineOptions — the validated knob surface. Every PlannerOptions
-//     field reachable from a front-end lives here once, settable by name
+//   * EngineOptions — the validated knob surface. It shares its
+//     evaluation settings with PlannerOptions through one declaration
+//     (EvalSettings, opt/planner.h); each is settable by name
 //     (`Set("columnar", "auto")`) and bundled into named profiles
 //     (`fast`, `safe`, `all-on`).
 //   * Engine       — process-wide shared state: the schema, the base
@@ -54,35 +55,18 @@ class Engine;
 class Session;
 using SessionPtr = std::unique_ptr<Session>;
 
-/// The single validated knob surface. A front-end never touches raw
-/// PlannerOptions fields; it holds an EngineOptions (usually from a
-/// profile), adjusts it with Set(), and lets the Engine/Session layer
-/// compose the PlannerOptions — including the cache and advisor pointers
-/// the options merely *enable*.
-struct EngineOptions {
+/// The single validated knob surface. A front-end holds an EngineOptions
+/// (usually from a profile), adjusts it with Set(), and lets the
+/// Engine/Session layer turn it into PlannerOptions. The evaluation
+/// settings (physical policy, planner heuristics, per-query governor
+/// budget) are inherited from EvalSettings and copied across whole; the
+/// session only wires in the shared caches and advisor the modes enable.
+/// The inherited `index_advisor` and `incremental_cache` pointers are
+/// ignored here: ToPlannerOptions always sets them.
+struct EngineOptions : EvalSettings {
   Strategy strategy = Strategy::kHybrid;
   /// Serve repeated subplans from the engine's shared MemoCache.
   bool memo = true;
-  /// Secondary-index policy; kAdvisor uses the engine's shared advisor.
-  IndexMode index_mode = IndexMode::kOff;
-  ColumnarMode columnar_mode = ColumnarMode::kOff;
-  /// Patch cached results under small scenario edits (engine's shared
-  /// IncrementalCache).
-  IncrementalMode incremental_mode = IncrementalMode::kOff;
-
-  // Planner heuristics (see opt/planner.h for semantics).
-  double reuse_count = 1.0;
-  double max_lazy_tree_size = 100000.0;
-  double delta_fraction_threshold = 0.25;
-  double incremental_edit_fraction = 0.10;
-  size_t index_min_rows = 64;
-  size_t columnar_min_rows = 4096;
-  size_t columnar_morsel_rows = 65536;
-  size_t columnar_threads = 0;
-
-  /// Per-query governor budget (admission control): every session query
-  /// runs under these limits. Unlimited by default.
-  ExecBudget budget;
 
   /// Engine-level: CreateSession beyond this cap is rejected with
   /// kResourceExhausted. 0 = unlimited.
@@ -111,12 +95,14 @@ struct EngineOptions {
   /// One-line `knob=value` listing (the shell's \set with no arguments).
   std::string Describe() const;
 
-  /// The PlannerOptions these knobs denote. Cache/advisor pointers are
-  /// supplied by the caller (normally Session::Options): the options only
-  /// say *whether* each is used.
+  /// The PlannerOptions these knobs denote. The shared resources are
+  /// supplied by the caller (normally the Session): each is wired in only
+  /// when its knob enables it (`memo`, index mode kAdvisor, incremental
+  /// mode kAuto).
   PlannerOptions ToPlannerOptions(MemoCache* memo_cache,
                                   IndexAdvisor* advisor,
-                                  IncrementalCache* incremental) const;
+                                  IncrementalCache* incremental,
+                                  CancelTokenPtr cancel_token) const;
 };
 
 /// Info row for Session::Nodes().
@@ -242,7 +228,6 @@ class Session {
   /// grammar as EngineOptions::Set. `max_sessions` is engine-level and
   /// rejected here.
   Status Set(const std::string& knob, const std::string& value);
-  Status SetProfile(const std::string& profile);
   EngineOptions options() const;
 
   /// This session's accumulated execution stats.
@@ -290,6 +275,8 @@ class Session {
   };
 
   int FindNode(const std::string& name) const;  // -1 when absent
+  /// PlannerConfig() with mu_ already held.
+  PlannerOptions PlannerConfigLocked() const;
   /// Materializes (and caches) the state of node `index`.
   Result<std::shared_ptr<Database>> StateOf(int index);
   void InvalidateSubtree(int index);

@@ -19,31 +19,6 @@ namespace hql {
 
 namespace {
 
-// Fills the compatibility flat fields of an ExplainReport from a snapshot.
-void FillFromStats(const ExecStats& stats, ExplainReport* report) {
-  report->exec = stats;
-
-  report->views_created = stats.views_created;
-  report->view_consolidations = stats.view_consolidations;
-  report->view_tuples_shared = stats.view_tuples_shared;
-  report->view_tuples_copied = stats.view_tuples_copied;
-
-  report->indexes_built = stats.indexes_built;
-  report->indexes_shared = stats.indexes_shared;
-  report->index_probes = stats.index_probes;
-  report->index_tuples_skipped = stats.index_tuples_skipped;
-
-  report->governor_deadline_trips = stats.governor_deadline_trips;
-  report->governor_tuple_trips = stats.governor_tuple_trips;
-  report->governor_rewrite_trips = stats.governor_rewrite_trips;
-  report->governor_cancellations = stats.governor_cancellations;
-  report->governor_lazy_fallbacks = stats.governor_lazy_fallbacks;
-  report->governor_index_fallbacks = stats.governor_index_fallbacks;
-  report->governor_max_tuples_charged = stats.governor_max_tuples_charged;
-  report->governor_max_rewrite_nodes_charged =
-      stats.governor_max_rewrite_nodes_charged;
-}
-
 std::string FormatExecCounters(const ExecStats& stats) {
   std::string out;
   out += StrFormat(
@@ -143,18 +118,8 @@ Result<ExplainReport> Explain(const QueryPtr& query, const Schema& schema,
   ExplainReport report;
   HQL_ASSIGN_OR_RETURN(static_cast<PlanReport&>(report),
                        ExplainPlan(query, schema, stats));
-  FillFromStats(AmbientExecContext().Snapshot(), &report);
-
-  if (memo != nullptr) {
-    MemoCache::Stats cache = memo->stats();
-    report.has_memo = true;
-    report.memo_hits = cache.hits;
-    report.memo_misses = cache.misses;
-    report.memo_evictions = cache.evictions;
-    report.memo_entries = cache.entries;
-    report.memo_cached_tuples = cache.cached_tuples;
-    report.memo_hit_rate = cache.HitRate();
-  }
+  report.exec = AmbientExecContext().Snapshot();
+  if (memo != nullptr) report.memo = memo->stats();
   return report;
 }
 
@@ -216,16 +181,15 @@ std::string FormatExplain(const ExplainReport& report) {
       "state materialization ~%.0f tuples\n",
       report.estimated_cardinality, report.lazy_cost, report.hybrid_cost,
       report.state_materialization);
-  if (report.has_memo) {
+  if (report.memo.has_value()) {
+    const MemoCache::Stats& memo = *report.memo;
     out += StrFormat(
         "memo:       %llu hits, %llu misses (%.1f%% hit rate), %llu "
-        "evictions; %llu entries holding %llu tuples\n",
-        static_cast<unsigned long long>(report.memo_hits),
-        static_cast<unsigned long long>(report.memo_misses),
-        report.memo_hit_rate * 100.0,
-        static_cast<unsigned long long>(report.memo_evictions),
-        static_cast<unsigned long long>(report.memo_entries),
-        static_cast<unsigned long long>(report.memo_cached_tuples));
+        "evictions; %zu entries holding %llu tuples\n",
+        static_cast<unsigned long long>(memo.hits),
+        static_cast<unsigned long long>(memo.misses), memo.HitRate() * 100.0,
+        static_cast<unsigned long long>(memo.evictions), memo.entries,
+        static_cast<unsigned long long>(memo.cached_tuples));
   }
   out += FormatExecCounters(report.exec);
   return out;

@@ -25,19 +25,19 @@
 //                    FormatExplainAnalyze.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "ast/forward.h"
 #include "common/exec_context.h"
 #include "common/result.h"
+#include "eval/memo.h"
 #include "opt/planner.h"
 #include "storage/database.h"
 #include "storage/schema.h"
 #include "storage/stats.h"
 
 namespace hql {
-
-class MemoCache;
 
 /// The static half of the report: everything known before running.
 struct PlanReport {
@@ -67,44 +67,14 @@ struct PlanReport {
   double state_materialization = 0;  // eager xsub tuples, all states
 };
 
-/// The combined view: static plan + a runtime snapshot. The runtime
-/// counters are duplicated as flat fields (filled from `exec`) so existing
-/// readers keep compiling; new code should read `exec` directly.
+/// The combined view: static plan + a runtime snapshot.
 struct ExplainReport : PlanReport {
-  // The execution-stats snapshot the flat fields below were filled from.
+  /// The ambient ExecContext's counters when the report was built.
   ExecStats exec;
 
-  // Memoizing subplan cache (populated when Explain is given one; these
-  // are cache-lifetime counters, not per-execution ones).
-  bool has_memo = false;
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-  uint64_t memo_evictions = 0;
-  uint64_t memo_entries = 0;
-  uint64_t memo_cached_tuples = 0;
-  double memo_hit_rate = 0;
-
-  // Copy-on-write view layer (see ExecStats).
-  uint64_t views_created = 0;
-  uint64_t view_consolidations = 0;
-  uint64_t view_tuples_shared = 0;
-  uint64_t view_tuples_copied = 0;
-
-  // Secondary indexes (see ExecStats).
-  uint64_t indexes_built = 0;
-  uint64_t indexes_shared = 0;
-  uint64_t index_probes = 0;
-  uint64_t index_tuples_skipped = 0;
-
-  // Execution governor (see ExecStats).
-  uint64_t governor_deadline_trips = 0;
-  uint64_t governor_tuple_trips = 0;
-  uint64_t governor_rewrite_trips = 0;
-  uint64_t governor_cancellations = 0;
-  uint64_t governor_lazy_fallbacks = 0;
-  uint64_t governor_index_fallbacks = 0;
-  uint64_t governor_max_tuples_charged = 0;
-  uint64_t governor_max_rewrite_nodes_charged = 0;
+  /// The memoizing subplan cache's counters, when Explain was given one.
+  /// Cache-lifetime counters, not per-execution ones.
+  std::optional<MemoCache::Stats> memo;
 };
 
 /// Builds the static half only — no counters are read, nothing executes.
@@ -114,9 +84,9 @@ Result<PlanReport> ExplainPlan(const QueryPtr& query, const Schema& schema,
                                const StatsCatalog& stats);
 
 /// Builds the combined report: ExplainPlan plus a snapshot of the ambient
-/// ExecContext (the thread's installed context, else the process default —
-/// where the deprecated Global*Stats shims charge). A non-null `memo` adds
-/// the cache's hit/miss/eviction counters.
+/// ExecContext (the thread's installed context, else the process-wide
+/// fallback that collects charges made outside any scope). A non-null
+/// `memo` adds the cache's hit/miss/eviction counters.
 Result<ExplainReport> Explain(const QueryPtr& query, const Schema& schema,
                               const StatsCatalog& stats,
                               const MemoCache* memo = nullptr);

@@ -12,6 +12,7 @@
 #include "eval/filter1.h"
 #include "eval/filter2.h"
 #include "eval/filter3.h"
+#include "eval/incremental.h"
 #include "eval/memo.h"
 #include "eval/ra_eval.h"
 #include "hql/enf.h"
@@ -250,19 +251,20 @@ namespace {
 // opt-layer cost model (hql_opt already links hql_eval; the reverse
 // dependency would cycle).
 Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
-                                   const RelResolver& resolver, EvalMemo memo,
                                    const PlannerOptions& options) {
-  const IncrementalConfig inc = options.incremental_config();
-  if (!inc.enabled()) return EvalRa(query, resolver, memo);
+  DatabaseResolver resolver(db);
+  EvalMemo memo{options.memo, FingerprintState(db), options.physical()};
+  if (!options.incremental_enabled()) return EvalRa(query, resolver, memo);
 
+  IncrementalCache* cache = options.incremental_cache;
   HQL_ASSIGN_OR_RETURN(IncrementalAttempt attempt,
-                       ComputeIncrementalEdits(query, db, inc.cache));
+                       ComputeIncrementalEdits(query, db, cache));
   if (attempt.entry != nullptr) {
     bool patch = attempt.patchable;
     if (patch && attempt.edit_tuples > 0) {
       double changed = static_cast<double>(attempt.changed_relation_tuples);
       if (static_cast<double>(attempt.edit_tuples) >
-          inc.max_edit_fraction * std::max(1.0, changed)) {
+          options.incremental_edit_fraction * std::max(1.0, changed)) {
         patch = false;
       }
     }
@@ -275,7 +277,7 @@ Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
     }
     if (patch) {
       Result<RelationView> patched = ApplyIncrementalPatch(
-          query, attempt, memo.state_fingerprint, inc.cache);
+          query, attempt, memo.state_fingerprint, cache);
       if (patched.ok()) return patched->Materialize();
       if (patched.status().code() != StatusCode::kUnimplemented) {
         return patched.status();
@@ -289,8 +291,8 @@ Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
   IncrementalRecorder recorder;
   memo.recorder = &recorder;
   HQL_ASSIGN_OR_RETURN(RelationView out, EvalRaView(query, resolver, memo));
-  inc.cache->Insert(query->Fingerprint(),
-                    recorder.TakeEntry(out, memo.state_fingerprint));
+  cache->Insert(query->Fingerprint(),
+                recorder.TakeEntry(out, memo.state_fingerprint));
   return out.Materialize();
 }
 
@@ -299,8 +301,6 @@ Result<Relation> EvalRaIncremental(const QueryPtr& query, const Database& db,
 Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
                              const Schema& schema, Strategy strategy,
                              const PlannerOptions& options) {
-  const IndexConfig icfg = options.index_config();
-  const ColumnarConfig ccfg = options.columnar_config();
   // Each branch tags the ambient ExecContext (and any spans recorded below
   // it) with the execution route actually taken — the explain-analyze
   // answer to "which point of the lazy<->eager spectrum ran".
@@ -317,10 +317,7 @@ Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
       if (options.simplify) {
         HQL_ASSIGN_OR_RETURN(reduced, SimplifyRa(reduced, schema));
       }
-      DatabaseResolver resolver(db);
-      return EvalRaIncremental(
-          reduced, db, resolver,
-          EvalMemo{options.memo, FingerprintState(db), icfg, ccfg}, options);
+      return EvalRaIncremental(reduced, db, options);
     }
     case Strategy::kFilter1: {
       ExecRouteScope route("eager");
@@ -338,8 +335,7 @@ Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
       ExecRouteScope route("delta");
       AmbientExecContext().NoteRoute("delta");
       Filter3Options f3;
-      f3.indexes = icfg;
-      f3.columnar = ccfg;
+      f3.policy = options.physical();
       return RunFilter3(query, db, schema, f3);
     }
     case Strategy::kHybrid: {
@@ -361,8 +357,7 @@ Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
           ExecRouteScope route("hybrid-delta");
           AmbientExecContext().NoteRoute("hybrid-delta");
           Filter3Options f3;
-          f3.indexes = icfg;
-          f3.columnar = ccfg;
+          f3.policy = options.physical();
           return RunFilter3(query, db, schema, f3);
         }
       }
@@ -371,10 +366,7 @@ Result<Relation> ExecuteImpl(const QueryPtr& query, const Database& db,
       if (IsPureRelAlg(plan.query)) {
         ExecRouteScope route("hybrid-lazy");
         AmbientExecContext().NoteRoute("hybrid-lazy");
-        DatabaseResolver resolver(db);
-        return EvalRaIncremental(
-            plan.query, db, resolver,
-            EvalMemo{options.memo, FingerprintState(db), icfg, ccfg}, options);
+        return EvalRaIncremental(plan.query, db, options);
       }
       ExecRouteScope route("hybrid-eager");
       AmbientExecContext().NoteRoute("hybrid-eager");

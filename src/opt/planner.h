@@ -16,11 +16,9 @@
 #include "ast/forward.h"
 #include "common/governor.h"
 #include "common/result.h"
-#include "eval/incremental.h"
+#include "eval/physical_policy.h"
 #include "opt/estimator.h"
-#include "storage/column_batch.h"
 #include "storage/database.h"
-#include "storage/index.h"
 #include "storage/schema.h"
 #include "storage/stats.h"
 
@@ -39,7 +37,12 @@ enum class Strategy {
 
 const char* StrategyName(Strategy s);
 
-struct PlannerOptions {
+/// Every evaluation setting a front-end chooses, declared once: the
+/// physical policy the kernels read (eval/physical_policy.h), the hybrid
+/// planner's heuristics and the governor budget. PlannerOptions (what one
+/// execution runs under) and EngineOptions (the validated, settable knob
+/// surface in opt/engine.h) both derive from it.
+struct EvalSettings : PhysicalPolicy {
   /// How many queries are expected to run against each hypothetical state
   /// (Example 2.2's "families of hypothetical queries"). Materialization
   /// cost is amortized over this count.
@@ -49,15 +52,30 @@ struct PlannerOptions {
   /// it the planner forces materialization (Example 2.4's guard).
   double max_lazy_tree_size = 100000.0;
 
-  /// Run the RA simplifier over pure parts of the plan.
-  bool simplify = true;
-
   /// Hybrid execution takes the delta route (Algorithm HQL-3) when the
   /// query has a mod-ENF form and the estimated state materialization is
   /// below this fraction of the affected base relations — the Section 5.5
   /// regime where join-when/select-when beat xsub materialization. Set to
   /// 0 to disable the delta route.
   double delta_fraction_threshold = 0.25;
+
+  /// Resource limits for the execution (common/governor.h). When any limit
+  /// is set (or PlannerOptions::cancel_token is non-null) and no governor
+  /// is already installed on the thread, Execute installs one for the
+  /// duration of the call; limit violations surface as kResourceExhausted,
+  /// observed cancellation as kCancelled. A rewrite-node trip on the lazy
+  /// route degrades gracefully instead: Execute retries along the fallback
+  /// lattice lazy -> hybrid -> eager (recorded in
+  /// ExecStats::governor_lazy_fallbacks).
+  ExecBudget budget;
+
+  /// The physical policy alone, as the kernels take it.
+  const PhysicalPolicy& physical() const { return *this; }
+};
+
+struct PlannerOptions : EvalSettings {
+  /// Run the RA simplifier over pure parts of the plan.
+  bool simplify = true;
 
   /// Optional memoizing subplan cache (eval/memo.h). When set, Execute's
   /// pure-RA evaluation serves repeated subplans from the cache, and state
@@ -66,93 +84,9 @@ struct PlannerOptions {
   /// caller owns it and it must outlive the calls that use it.
   MemoCache* memo = nullptr;
 
-  /// Secondary-index policy for the physical operators (storage/index.h).
-  /// kOff (default) keeps the scan kernels exactly; kManual probes only
-  /// indexes already built via Database::BuildIndex; kAdvisor additionally
-  /// lets `index_advisor` build indexes for frequently probed column sets.
-  IndexMode index_mode = IndexMode::kOff;
-
-  /// Advisor used in kAdvisor mode (caller-owned; shared across queries and
-  /// threads so its access counts span a whole family of alternatives).
-  /// Null in kAdvisor mode degrades to kManual behavior.
-  IndexAdvisor* index_advisor = nullptr;
-
-  /// Base relations smaller than this are never probed through an index —
-  /// a scan already beats the probe bookkeeping.
-  size_t index_min_rows = 64;
-
-  /// Resource limits for the execution (common/governor.h). When any limit
-  /// is set (or `cancel_token` is non-null) and no governor is already
-  /// installed on the thread, Execute installs one for the duration of the
-  /// call; limit violations surface as kResourceExhausted, observed
-  /// cancellation as kCancelled. A rewrite-node trip on the lazy route
-  /// degrades gracefully instead: Execute retries along the fallback
-  /// lattice lazy -> hybrid -> eager (recorded in
-  /// ExecStats::governor_lazy_fallbacks).
-  ExecBudget budget;
-
   /// Optional cooperative cancellation for this execution; polled on the
   /// budget's check cadence.
   CancelTokenPtr cancel_token;
-
-  /// Columnar/vectorized execution policy (storage/column_batch.h). kOff
-  /// (default) keeps the row kernels exactly; kAuto lets large flat-base
-  /// selections and equi-joins run the vectorized morsel kernels
-  /// (eval/vector_exec.h), falling back to row execution for small bases,
-  /// overlay-heavy views, or non-vectorizable predicates.
-  ColumnarMode columnar_mode = ColumnarMode::kOff;
-
-  /// Base relations smaller than this never take the columnar route — the
-  /// batch build would not amortize.
-  size_t columnar_min_rows = 4096;
-
-  /// Rows per morsel for the vectorized kernels.
-  size_t columnar_morsel_rows = 65536;
-
-  /// Worker threads for morsel dispatch: 0 = hardware concurrency,
-  /// 1 = run morsels inline on the calling thread.
-  size_t columnar_threads = 0;
-
-  /// Incremental re-evaluation policy (eval/incremental.h). kOff (default)
-  /// recomputes every execution exactly as before. kAuto lets the lazy and
-  /// hybrid-lazy routes patch a cached result of the same plan when the
-  /// database differs from the recorded execution only by a small overlay
-  /// edit and the estimator prices the patch below a recompute; every other
-  /// case (cold cache, consolidated base, large edit, aggregate plans)
-  /// falls back to full evaluation — results are always bit-identical.
-  IncrementalMode incremental_mode = IncrementalMode::kOff;
-
-  /// Entry store for incremental execution (caller-owned, must outlive the
-  /// calls that use it). Null disables patching even in kAuto mode.
-  IncrementalCache* incremental_cache = nullptr;
-
-  /// Edits larger than this fraction of the changed relations' current
-  /// cardinality are recomputed rather than patched.
-  double incremental_edit_fraction = 0.10;
-
-  /// The index configuration the options denote.
-  IndexConfig index_config() const {
-    return IndexConfig{index_mode, index_advisor, index_min_rows};
-  }
-
-  /// The columnar configuration the options denote.
-  ColumnarConfig columnar_config() const {
-    ColumnarConfig c;
-    c.mode = columnar_mode;
-    c.min_rows = columnar_min_rows;
-    c.morsel_rows = columnar_morsel_rows;
-    c.threads = columnar_threads;
-    return c;
-  }
-
-  /// The incremental configuration the options denote.
-  IncrementalConfig incremental_config() const {
-    IncrementalConfig c;
-    c.mode = incremental_mode;
-    c.cache = incremental_cache;
-    c.max_edit_fraction = incremental_edit_fraction;
-    return c;
-  }
 };
 
 struct Plan {

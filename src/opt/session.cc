@@ -22,7 +22,7 @@ Result<HypotheticalSession> HypotheticalSession::Create(
     return Status::InvalidArgument("null hypothetical state");
   }
   HypotheticalSession session(db, schema);
-  session.index_config_ = options.index_config();
+  session.policy_ = options.physical();
 
   // Materialize the precise delta first; it is enough to decide the
   // representation (the xsub is recoverable from base + delta when the
@@ -55,7 +55,7 @@ Result<Relation> HypotheticalSession::Evaluate(const QueryPtr& query) const {
     Filter3Options options;
     options.collapsed = tree;
     options.env = &delta_;
-    options.indexes = index_config_;
+    options.policy = policy_;
     return RunFilter3(nullptr, *db_, db_->schema(), options);
   }
   Filter1Options options;
@@ -72,14 +72,14 @@ namespace {
 // One alternative of the family: Q when s (or Q itself at the root),
 // governed by its own ExecGovernor so one alternative's budget trip never
 // eats a sibling's, and observed by its own ExecContext so `out_stats`
-// holds exactly this alternative's work. `pool_cancel` (null on the serial
-// path) is the pool's first-hard-failure token; `tracing` is inherited
-// from the caller's ambient context.
+// holds exactly this alternative's work. `cancel` (null on the serial
+// path) trips when an earlier alternative fails hard; `tracing` is
+// inherited from the caller's ambient context.
 Result<Relation> EvalOneAlternative(const QueryPtr& query,
                                     const HypoExprPtr& state,
                                     const Database& db, const Schema& schema,
                                     const AlternativesOptions& options,
-                                    const CancelTokenPtr& pool_cancel,
+                                    const CancelTokenPtr& cancel,
                                     bool tracing, ExecStats* out_stats) {
   QueryPtr q = state == nullptr ? query : Query::When(query, state);
   ExecContext ctx;
@@ -90,7 +90,7 @@ Result<Relation> EvalOneAlternative(const QueryPtr& query,
     // the high-water marks to the ambient context, which must still be ctx.
     ExecContextScope ctx_scope(&ctx);
     ExecGovernor gov(options.planner.budget, options.planner.cancel_token,
-                     pool_cancel);
+                     cancel);
     GovernorScope scope(&gov);
     result = Execute(q, db, schema, options.strategy, options.planner);
   }
@@ -154,24 +154,30 @@ std::vector<Result<Relation>> EvalAlternativesPartial(
     }
   } else {
     // Fan one task per alternative out across the pool. Tasks only write
-    // their own slot; the pool's WaitAll() provides the synchronization
-    // that makes the slots safe to read afterwards. Returning the hard
-    // failure to the pool cancels its batch token, which both drains the
-    // still-queued tasks and trips the running siblings' governors.
-    ThreadPool pool(threads);
-    const CancelTokenPtr pool_cancel = pool.cancel_token();
-    for (size_t i = 0; i < n; ++i) {
-      pool.Submit(std::function<Status()>([&, i]() -> Status {
-        Result<Relation> r = EvalOneAlternative(query, states[i], db, schema,
-                                                options, pool_cancel, tracing,
-                                                &stats[i]);
-        Status hard =
-            IsHardFailure(r.status()) ? r.status() : Status::OK();
-        slots[i] = std::move(r);
-        return hard;
-      }));
+    // their own slot; the pool's Wait() provides the synchronization that
+    // makes the slots safe to read afterwards. As in the serial loop, a
+    // hard failure at alternative i cancels exactly the alternatives after
+    // it: queued ones are skipped, running ones trip their governors.
+    // Earlier alternatives run to completion, so the first hard failure by
+    // input order always reports itself, whichever worker finishes first.
+    std::vector<CancelTokenPtr> cancel(n);
+    for (CancelTokenPtr& token : cancel) {
+      token = std::make_shared<CancelToken>();
     }
-    pool.WaitAll();
+    ThreadPool pool(threads);
+    for (size_t i = 0; i < n; ++i) {
+      pool.Submit([&, i] {
+        if (cancel[i]->cancelled()) return;  // left empty: never ran
+        Result<Relation> r = EvalOneAlternative(query, states[i], db, schema,
+                                                options, cancel[i], tracing,
+                                                &stats[i]);
+        if (IsHardFailure(r.status())) {
+          for (size_t j = i + 1; j < n; ++j) cancel[j]->Cancel();
+        }
+        slots[i] = std::move(r);
+      });
+    }
+    pool.Wait();
     for (size_t i = 0; i < n; ++i) {
       if (!slots[i].has_value()) slots[i] = NeverRan();  // drained unrun
     }
@@ -200,8 +206,8 @@ Result<std::vector<Relation>> EvalAlternatives(
 
   std::vector<Result<Relation>> partial =
       EvalAlternativesPartial(query, states, db, schema, options);
-  // Deterministic error selection regardless of which sibling a pool-wide
-  // cancellation reached first: prefer the first non-cancellation error by
+  // Deterministic error selection regardless of which siblings a
+  // cancellation reached: prefer the first non-cancellation error by
   // input order (the root cause), then the first error of any kind.
   for (const Result<Relation>& r : partial) {
     if (!r.ok() && r.status().code() != StatusCode::kCancelled) {

@@ -58,7 +58,7 @@ class HypotheticalSession {
   const Database* db_;
   const Schema* schema_;
   bool uses_delta_ = false;
-  IndexConfig index_config_;
+  PhysicalPolicy policy_;
   DeltaValue delta_;
   XsubValue xsub_;
 };
@@ -110,8 +110,9 @@ struct AlternativesOptions {
 /// Governance: `options.planner.budget` / `options.planner.cancel_token`
 /// apply to each alternative separately (each gets its own governor, so one
 /// alternative's deadline or tuple budget never eats a sibling's). A hard
-/// failure (any code except kCancelled / kResourceExhausted) cancels the
-/// remaining alternatives pool-wide; budget trips do not.
+/// failure (any code except kCancelled / kResourceExhausted) cancels every
+/// alternative after it in input order, on the serial path and the pool
+/// alike; budget trips do not.
 ///
 /// Observability: each alternative runs under its own ExecContext; the
 /// per-slot stats and their input-order rollup are available via
@@ -125,7 +126,7 @@ std::vector<Result<Relation>> EvalAlternativesPartial(
 /// Thin wrapper over EvalAlternativesPartial collapsing the per-slot
 /// outcomes into all-or-nothing. Error selection (the single place this
 /// rule lives): the first error by input order whose code is not
-/// kCancelled wins — that is the root cause, not a ripple of the pool-wide
+/// kCancelled wins — that is the root cause, not a ripple of the
 /// cancellation it triggered; if every error is a cancellation, the first
 /// one by input order wins.
 Result<std::vector<Relation>> EvalAlternatives(

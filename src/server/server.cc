@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "common/strings.h"
@@ -39,11 +40,20 @@ bool WriteAll(int fd, const std::string& data) {
 
 struct HqlServer::Conn {
   int fd = -1;
+  /// Set and cleared only by the handler thread, which alone dereferences
+  /// it without `session_mu`; Stop() and the monitor cancel through
+  /// CancelSession(), so the session is never destroyed under them.
   SessionPtr session;
+  std::mutex session_mu;
   std::thread thread;
   /// True while a request is executing — the monitor polls only these.
   std::atomic<bool> busy{false};
   std::atomic<bool> finished{false};
+
+  void CancelSession() {
+    std::lock_guard<std::mutex> lock(session_mu);
+    if (session != nullptr) session->Cancel();
+  }
 };
 
 HqlServer::HqlServer(Engine* engine, ServerOptions options)
@@ -99,13 +109,12 @@ Status HqlServer::Start() {
 void HqlServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // Unblock accept().
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Unblock accept(). The descriptor is closed only once the accept thread
+  // has exited, so it is never read while written or reused while blocked.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   if (monitor_thread_.joinable()) monitor_thread_.join();
   // Cancel in-flight work, then unblock every handler's read.
   std::vector<std::shared_ptr<Conn>> conns;
@@ -114,7 +123,7 @@ void HqlServer::Stop() {
     conns.swap(conns_);
   }
   for (auto& conn : conns) {
-    if (conn->session != nullptr) conn->session->Cancel();
+    conn->CancelSession();
     ::shutdown(conn->fd, SHUT_RDWR);
   }
   for (auto& conn : conns) {
@@ -191,7 +200,7 @@ void HqlServer::MonitorLoop() {
       pfd.revents = 0;
       if (::poll(&pfd, 1, 0) > 0 &&
           (pfd.revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        if (conn->session != nullptr) conn->session->Cancel();
+        conn->CancelSession();
       }
     }
     std::this_thread::sleep_for(
@@ -208,7 +217,10 @@ void HqlServer::HandleConnection(std::shared_ptr<Conn> conn) {
     conn->finished.store(true, std::memory_order_release);
     return;
   }
-  conn->session = std::move(created).value();
+  {
+    std::lock_guard<std::mutex> lock(conn->session_mu);
+    conn->session = std::move(created).value();
+  }
 
   std::string buffer;
   char chunk[4096];
@@ -242,8 +254,13 @@ void HqlServer::HandleConnection(std::shared_ptr<Conn> conn) {
   }
   // Whatever happens next (a half-written query, Stop racing us), this
   // session must not keep any engine slot or run any more work.
-  conn->session->Cancel();
-  conn->session.reset();
+  SessionPtr done;
+  {
+    std::lock_guard<std::mutex> lock(conn->session_mu);
+    done = std::move(conn->session);
+  }
+  done->Cancel();
+  done.reset();
   ::shutdown(conn->fd, SHUT_RDWR);
   conn->finished.store(true, std::memory_order_release);
 }
@@ -272,7 +289,7 @@ std::string HqlServer::Dispatch(Conn& conn, const std::string& line,
         .Finish();
   }
   if (req.op == "profile") {
-    Status st = session.SetProfile(req.args[0]);
+    Status st = session.Set("profile", req.args[0]);
     if (!st.ok()) return WireResponse::Error(st);
     return std::move(WireResponse(true)).Finish();
   }

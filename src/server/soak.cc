@@ -17,21 +17,6 @@ namespace hql {
 
 namespace {
 
-// Fixed textual query pool over PropertySchema (A1..B3). Kept small and
-// cheap: the soak's job is concurrency + isolation coverage, not operator
-// coverage (the local property suites own that).
-const char* kQueryPool[] = {
-    "A1",
-    "B1",
-    "sigma[$0 >= 1](A2)",
-    "pi[0](B2)",
-    "A1 u B1",
-    "A2 join[$0 = $2] B2",
-    "pi[0](A3)",
-    "sigma[$0 >= 2](B3)",
-};
-constexpr size_t kQueryPoolSize = sizeof(kQueryPool) / sizeof(kQueryPool[0]);
-
 std::string RandomEdgeText(Rng* rng, int64_t domain) {
   int64_t v = rng->Uniform(0, domain > 1 ? domain - 1 : 0);
   int64_t w = rng->Uniform(0, domain > 1 ? domain - 1 : 0);
@@ -52,6 +37,7 @@ std::string RandomEdgeText(Rng* rng, int64_t domain) {
 
 // One wire session plus its local kDirect mirror and private op stream.
 struct Soaker {
+  const std::vector<std::string>* queries = nullptr;
   std::unique_ptr<WireClient> wire;
   SessionPtr local;
   std::vector<std::string> nodes;  // live scenario names, nodes[0] = root
@@ -74,6 +60,11 @@ struct Soaker {
         rng.Uniform(0, static_cast<int64_t>(nodes.size()) - 1))];
   }
 
+  const std::string& RandomQuery() {
+    return (*queries)[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(queries->size()) - 1))];
+  }
+
   Result<JsonPtr> Timed(const std::string& line) {
     auto start = std::chrono::steady_clock::now();
     Result<JsonPtr> out = wire->Call(line);
@@ -87,17 +78,21 @@ struct Soaker {
 
   /// The differential oracle: asks the server, asks the local kDirect
   /// mirror, and requires both to agree — on success/failure, and on row
-  /// count + relation hash when both succeed.
+  /// count + relation hash when both succeed. A query that does not parse
+  /// checks nothing (both sides would fail alike), so it counts as a
+  /// mismatch: the pool itself is broken.
   void OracleQuery(const std::string& node, const std::string& qtext) {
     Result<JsonPtr> resp = Timed("query " + node + " " + qtext);
     if (!resp.ok()) {
       ++transport_errors;
       return;
     }
-    Result<Relation> expected = [&]() -> Result<Relation> {
-      HQL_ASSIGN_OR_RETURN(QueryPtr q, ParseQuery(qtext));
-      return local->Query(node, q);
-    }();
+    Result<QueryPtr> q = ParseQuery(qtext);
+    if (!q.ok()) {
+      ++mismatches;
+      return;
+    }
+    Result<Relation> expected = local->Query(node, q.value());
     bool server_ok = (*resp)->Get("ok")->bool_value();
     if (server_ok != expected.ok()) {
       ++mismatches;
@@ -157,8 +152,7 @@ struct Soaker {
       ++mismatches;
       return;
     }
-    OracleQuery(node, kQueryPool[static_cast<size_t>(
-                          rng.Uniform(0, static_cast<int64_t>(kQueryPoolSize) - 1))]);
+    OracleQuery(node, RandomQuery());
   }
 
   /// Drops a random non-root subtree on both sides, then re-grows one
@@ -186,8 +180,7 @@ struct Soaker {
       }
     }
     Grow();
-    OracleQuery(RandomNode(), kQueryPool[static_cast<size_t>(
-                                  rng.Uniform(0, static_cast<int64_t>(kQueryPoolSize) - 1))]);
+    OracleQuery(RandomNode(), RandomQuery());
   }
 };
 
@@ -222,6 +215,19 @@ PhaseMetrics RunPhase(const std::string& label,
 
 }  // namespace
 
+std::vector<std::string> DefaultSoakQueries() {
+  return {
+      "A1",
+      "B1",
+      "sigma[$0 >= 1](A2)",
+      "pi[0](B2)",
+      "A1 union B1",
+      "A2 join[$0 = $2] B2",
+      "pi[0](A3)",
+      "sigma[$0 >= 2](B3)",
+  };
+}
+
 std::string NetSoakReport::Summary() const {
   std::ostringstream os;
   os << "net soak: " << requests << " requests in " << seconds << "s, "
@@ -236,8 +242,10 @@ std::string NetSoakReport::Summary() const {
 }
 
 Result<NetSoakReport> RunNetSoak(const NetSoakConfig& config) {
-  if (config.sessions < 1 || config.nodes_per_session < 1) {
-    return Status::InvalidArgument("net soak needs >= 1 session and node");
+  if (config.sessions < 1 || config.nodes_per_session < 1 ||
+      config.queries.empty()) {
+    return Status::InvalidArgument(
+        "net soak needs >= 1 session, node and query");
   }
 
   // The local mirror: same base the server generated from the same flags.
@@ -265,6 +273,7 @@ Result<NetSoakReport> RunNetSoak(const NetSoakConfig& config) {
           std::make_unique<Soaker>(config.seed ^ (0x9e3779b97f4a7c15ull *
                                                   static_cast<uint64_t>(i + 1)));
       soaker->id = i;
+      soaker->queries = &config.queries;
       soaker->domain = config.gen_domain;
       soaker->nodes.push_back("root");
       HQL_ASSIGN_OR_RETURN(WireClient wire, WireClient::Connect(config.port));
@@ -297,9 +306,7 @@ Result<NetSoakReport> RunNetSoak(const NetSoakConfig& config) {
   report.phases.push_back(RunPhase("grow", soakers, [nodes](Soaker& s) {
     for (int i = 0; i < nodes; ++i) {
       s.Grow();
-      s.OracleQuery(s.nodes.back(),
-                    kQueryPool[static_cast<size_t>(
-                        s.rng.Uniform(0, static_cast<int64_t>(kQueryPoolSize) - 1))]);
+      s.OracleQuery(s.nodes.back(), s.RandomQuery());
     }
   }));
 
@@ -307,9 +314,7 @@ Result<NetSoakReport> RunNetSoak(const NetSoakConfig& config) {
   const int ops = config.ops_per_phase;
   report.phases.push_back(RunPhase("query", soakers, [ops](Soaker& s) {
     for (int i = 0; i < ops; ++i) {
-      s.OracleQuery(s.RandomNode(),
-                    kQueryPool[static_cast<size_t>(
-                        s.rng.Uniform(0, static_cast<int64_t>(kQueryPoolSize) - 1))]);
+      s.OracleQuery(s.RandomNode(), s.RandomQuery());
     }
   }));
 

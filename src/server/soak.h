@@ -20,6 +20,11 @@
 
 namespace hql {
 
+/// The soak's fixed query pool over PropertySchema (A1..B3). Kept small and
+/// cheap: the soak's job is concurrency + isolation coverage, not operator
+/// coverage (the local property suites own that).
+std::vector<std::string> DefaultSoakQueries();
+
 struct NetSoakConfig {
   /// Loopback port of the hql_serve instance to drive.
   uint16_t port = 0;
@@ -35,6 +40,9 @@ struct NetSoakConfig {
   /// The server's --gen-rows / --gen-domain, mirrored locally.
   size_t gen_rows = 64;
   int64_t gen_domain = 64;
+  /// Queries the oracle draws from. An entry that does not parse is a
+  /// soak failure (counted in NetSoakReport::mismatches).
+  std::vector<std::string> queries = DefaultSoakQueries();
 };
 
 struct NetSoakReport {

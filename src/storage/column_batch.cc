@@ -18,15 +18,6 @@ std::mutex& BatchCacheAllocMutex() {
 
 }  // namespace
 
-const char* ColumnarModeName(ColumnarMode mode) {
-  switch (mode) {
-    case ColumnarMode::kOff:
-      return "off";
-    case ColumnarMode::kAuto:
-      return "auto";
-  }
-  return "?";
-}
 
 ColumnBatch::ColumnBatch(const Relation& base) {
   HQL_FAIL_POINT(kFailPointColumnBatchBuild);

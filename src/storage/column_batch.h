@@ -25,33 +25,6 @@
 
 namespace hql {
 
-// How vectorized execution is routed, threaded through PlannerOptions the
-// same way IndexConfig is.
-enum class ColumnarMode {
-  kOff,   // never vectorize (the default; row kernels only)
-  kAuto,  // vectorize flat bases that clear the thresholds, else fall back
-};
-
-/// "off" or "auto".
-const char* ColumnarModeName(ColumnarMode mode);
-
-struct ColumnarConfig {
-  ColumnarMode mode = ColumnarMode::kOff;
-  /// Bases smaller than this stay on the row kernels (batch construction
-  /// and morsel dispatch do not amortize on tiny inputs).
-  size_t min_rows = 4096;
-  /// Rows per morsel task.
-  size_t morsel_rows = 65536;
-  /// Worker threads for morsel dispatch; 0 means hardware concurrency,
-  /// 1 runs morsels inline on the calling thread.
-  size_t threads = 1;
-  /// An overlay whose delta exceeds this fraction of its base falls back
-  /// to the row kernels (patching dominates the vectorized scan).
-  double max_delta_fraction = 0.25;
-
-  bool enabled() const { return mode != ColumnarMode::kOff; }
-};
-
 enum class ColumnEncoding : uint8_t {
   kInt64,    // every value in the column is an int
   kFloat64,  // every value in the column is a double

@@ -116,18 +116,6 @@ std::shared_ptr<const RelationIndex> Relation::ExistingIndex(
   return it->second;
 }
 
-const char* IndexModeName(IndexMode mode) {
-  switch (mode) {
-    case IndexMode::kOff:
-      return "off";
-    case IndexMode::kManual:
-      return "manual";
-    case IndexMode::kAdvisor:
-      return "advisor";
-  }
-  return "?";
-}
-
 RelationIndexPtr IndexAdvisor::Advise(const RelationPtr& base,
                                       const std::vector<size_t>& columns) {
   if (base == nullptr) return nullptr;

@@ -85,15 +85,6 @@ class RelationIndex {
 
 using RelationIndexPtr = std::shared_ptr<const RelationIndex>;
 
-/// The planner-facing index policy.
-enum class IndexMode {
-  kOff,      // never probe: plans and evaluation match the pre-index code
-  kManual,   // probe indexes previously built (Database::BuildIndex)
-  kAdvisor,  // record predicate columns; auto-build past a threshold
-};
-
-const char* IndexModeName(IndexMode mode);
-
 /// Frequency-driven index advisor: records equality-predicate column-set
 /// accesses per base relation and builds the index once a column set has
 /// been requested `build_threshold` times. Thread-safe; meant to be shared
@@ -124,21 +115,6 @@ class IndexAdvisor {
   std::map<std::pair<const void*, std::vector<size_t>>, size_t> counts_;
   uint64_t accesses_ = 0;
   uint64_t builds_ = 0;
-};
-
-/// How the execution kernels resolve indexes; threaded from PlannerOptions
-/// through the evaluators. Default-constructed = kOff = exact pre-index
-/// behavior.
-struct IndexConfig {
-  IndexMode mode = IndexMode::kOff;
-  /// Consulted in kAdvisor mode; caller-owned, may be shared across
-  /// threads. Null degrades kAdvisor to kManual.
-  IndexAdvisor* advisor = nullptr;
-  /// Bases smaller than this are never probed — scanning them is cheaper
-  /// than the probe bookkeeping.
-  size_t min_index_rows = 64;
-
-  bool enabled() const { return mode != IndexMode::kOff; }
 };
 
 }  // namespace hql

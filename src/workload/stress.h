@@ -43,6 +43,7 @@
 #include "eval/memo.h"
 #include "opt/planner.h"
 #include "storage/database.h"
+#include "storage/index.h"
 #include "workload/generators.h"
 #include "workload/version_tree.h"
 

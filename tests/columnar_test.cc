@@ -29,12 +29,12 @@ using hql::testing::Ints;
 
 // A columnar config that engages on tiny test relations and crosses morsel
 // boundaries (morsel_rows intentionally smaller than the data).
-ColumnarConfig TestConfig(size_t morsel_rows = 8, size_t threads = 1) {
-  ColumnarConfig config;
-  config.mode = ColumnarMode::kAuto;
-  config.min_rows = 1;
-  config.morsel_rows = morsel_rows;
-  config.threads = threads;
+PhysicalPolicy TestConfig(size_t morsel_rows = 8, size_t threads = 1) {
+  PhysicalPolicy config;
+  config.columnar_mode = ColumnarMode::kAuto;
+  config.columnar_min_rows = 1;
+  config.columnar_morsel_rows = morsel_rows;
+  config.columnar_threads = threads;
   return config;
 }
 
@@ -200,19 +200,19 @@ TEST(ColumnarFilterTest, FallsBackBelowMinRowsAndOnHeavyOverlays) {
   RelationView view(std::make_shared<Relation>(rel));
   ScalarExprPtr pred = Ge(Col(0), Int(3));
 
-  ColumnarConfig off;  // mode kOff
+  PhysicalPolicy off;  // mode kOff
   EXPECT_FALSE(TryColumnarFilter(view, pred, off).has_value());
 
-  ColumnarConfig small = TestConfig();
-  small.min_rows = 100;  // base too small
+  PhysicalPolicy small = TestConfig();
+  small.columnar_min_rows = 100;  // base too small
   EXPECT_FALSE(TryColumnarFilter(view, pred, small).has_value());
 
   // An overlay past max_delta_fraction of the base falls back too.
   RelationView heavy = RelationView::Overlay(
       std::make_shared<Relation>(rel),
       {IntRow({7, 8}), IntRow({9, 10})}, {IntRow({1, 2})});
-  ColumnarConfig strict = TestConfig();
-  strict.max_delta_fraction = 0.1;
+  PhysicalPolicy strict = TestConfig();
+  strict.columnar_max_delta_fraction = 0.1;
   EXPECT_FALSE(TryColumnarFilter(heavy, pred, strict).has_value());
   // ...but the same overlay vectorizes under the default fraction of a
   // larger base.
@@ -280,7 +280,6 @@ TEST(ColumnarPropertyTest, VectorizedEqualsRowKernels) {
   Rng rng(283);
   AstGenOptions options;
   options.literal_domain = 16;
-  IndexConfig no_indexes;
   for (int trial = 0; trial < 60; ++trial) {
     size_t arity = 1 + static_cast<size_t>(rng.Uniform(0, 2));
     size_t rows = 1 + static_cast<size_t>(rng.Uniform(0, 400));
@@ -292,12 +291,12 @@ TEST(ColumnarPropertyTest, VectorizedEqualsRowKernels) {
       Relation adds = GenRelation(&rng, rng.Uniform(0, 10), arity, 16, 16);
       view = RelationView::Overlay(shared, adds.tuples(), dels.tuples());
     }
-    ColumnarConfig config = TestConfig(
+    PhysicalPolicy config = TestConfig(
         /*morsel_rows=*/1 + static_cast<size_t>(rng.Uniform(0, 100)),
         /*threads=*/1 + static_cast<size_t>(rng.Uniform(0, 3)));
 
     ScalarExprPtr pred = RandomPredicate(&rng, arity, options);
-    Relation vectorized = VectorizedFilter(view, pred, no_indexes, config);
+    Relation vectorized = VectorizedFilter(view, pred, config);
     EXPECT_EQ(vectorized, FilterRelation(view, *pred))
         << "filter trial " << trial << ": " << pred->ToString();
 
@@ -309,7 +308,7 @@ TEST(ColumnarPropertyTest, VectorizedEqualsRowKernels) {
     if (rng.Uniform(0, 2) == 0) {
       jpred = And(jpred, RandomPredicate(&rng, 2 * arity, options));
     }
-    Relation vjoin = VectorizedJoin(view, ov, jpred, no_indexes, config);
+    Relation vjoin = VectorizedJoin(view, ov, jpred, config);
     EXPECT_EQ(vjoin, JoinRelations(view, ov, jpred))
         << "join trial " << trial << ": " << jpred->ToString();
   }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,7 +149,7 @@ TEST(EngineOptionsTest, ToPlannerOptionsWiresCachesOnlyWhenEnabled) {
   IncrementalCache inc(16);
   EngineOptions o;
   o.memo = false;
-  PlannerOptions p = o.ToPlannerOptions(&memo, &advisor, &inc);
+  PlannerOptions p = o.ToPlannerOptions(&memo, &advisor, &inc, nullptr);
   EXPECT_EQ(p.memo, nullptr);
   EXPECT_EQ(p.index_advisor, nullptr);
   EXPECT_EQ(p.incremental_cache, nullptr);
@@ -156,10 +157,146 @@ TEST(EngineOptionsTest, ToPlannerOptionsWiresCachesOnlyWhenEnabled) {
   o.memo = true;
   o.index_mode = IndexMode::kAdvisor;
   o.incremental_mode = IncrementalMode::kAuto;
-  p = o.ToPlannerOptions(&memo, &advisor, &inc);
+  p = o.ToPlannerOptions(&memo, &advisor, &inc, nullptr);
   EXPECT_EQ(p.memo, &memo);
   EXPECT_EQ(p.index_advisor, &advisor);
   EXPECT_EQ(p.incremental_cache, &inc);
+}
+
+// The settings a session query actually runs under, field by field. The
+// expected values pin each profile's effective configuration so a change
+// to how the knob surface is declared cannot silently move one.
+struct EffectiveSettings {
+  std::string setup;  // profile, then optional knob=value pairs
+  bool memo = true;
+  IndexMode index_mode = IndexMode::kOff;
+  bool advisor_wired = false;
+  size_t index_min_rows = 64;
+  ColumnarMode columnar_mode = ColumnarMode::kOff;
+  size_t columnar_threads = 0;  // 0 = hardware concurrency
+  size_t columnar_min_rows = 4096;
+  size_t columnar_morsel_rows = 65536;
+  double columnar_max_delta_fraction = 0.25;
+  IncrementalMode incremental_mode = IncrementalMode::kOff;
+  bool incremental_cache_wired = false;
+  double incremental_edit_fraction = 0.10;
+  double reuse_count = 1.0;
+  double max_lazy_tree_size = 100000.0;
+  double delta_fraction_threshold = 0.25;
+  bool simplify = true;
+  int64_t deadline_ms = 0;
+  uint64_t max_tuples = 0;
+  uint64_t max_rewrite_nodes = 0;
+  uint64_t max_index_build_rows = 0;
+  uint32_t check_interval = 1024;
+};
+
+std::vector<EffectiveSettings> ExpectedEffectiveSettings() {
+  std::vector<EffectiveSettings> out;
+  EffectiveSettings def;
+  def.setup = "default";
+  out.push_back(def);
+
+  EffectiveSettings fast = def;
+  fast.setup = "fast";
+  fast.index_mode = IndexMode::kAdvisor;
+  fast.advisor_wired = true;
+  fast.columnar_mode = ColumnarMode::kAuto;
+  fast.incremental_mode = IncrementalMode::kAuto;
+  fast.incremental_cache_wired = true;
+  out.push_back(fast);
+
+  EffectiveSettings safe = def;
+  safe.setup = "safe";
+  safe.deadline_ms = 10000;
+  safe.max_tuples = 20000000;
+  safe.max_rewrite_nodes = 2000000;
+  safe.max_index_build_rows = 4000000;
+  out.push_back(safe);
+
+  EffectiveSettings all_on = fast;
+  all_on.setup = "all-on";
+  all_on.deadline_ms = safe.deadline_ms;
+  all_on.max_tuples = safe.max_tuples;
+  all_on.max_rewrite_nodes = safe.max_rewrite_nodes;
+  all_on.max_index_build_rows = safe.max_index_build_rows;
+  out.push_back(all_on);
+
+  // Manual indexes never wire the advisor; incremental alone wires the
+  // cache; memo off drops the cache pointer.
+  EffectiveSettings knobs = def;
+  knobs.setup =
+      "default memo=off index=manual incremental=auto edit_fraction=0.3"
+      " index_min_rows=8 columnar_threads=2 columnar_min_rows=128"
+      " morsel_rows=1024";
+  knobs.memo = false;
+  knobs.index_mode = IndexMode::kManual;
+  knobs.incremental_mode = IncrementalMode::kAuto;
+  knobs.incremental_cache_wired = true;
+  knobs.incremental_edit_fraction = 0.3;
+  knobs.index_min_rows = 8;
+  knobs.columnar_threads = 2;
+  knobs.columnar_min_rows = 128;
+  knobs.columnar_morsel_rows = 1024;
+  out.push_back(knobs);
+
+  EffectiveSettings planner = all_on;
+  planner.setup =
+      "all-on columnar=off reuse_count=4 max_lazy_tree_size=500"
+      " delta_fraction=0.5 deadline_ms=250 max_tuples=1000"
+      " max_rewrite_nodes=2000";
+  planner.columnar_mode = ColumnarMode::kOff;
+  planner.reuse_count = 4;
+  planner.max_lazy_tree_size = 500;
+  planner.delta_fraction_threshold = 0.5;
+  planner.deadline_ms = 250;
+  planner.max_tuples = 1000;
+  planner.max_rewrite_nodes = 2000;
+  out.push_back(planner);
+  return out;
+}
+
+TEST(EngineOptionsTest, SessionPassesPinnedEffectiveSettingsToPlanner) {
+  Engine engine(SmallDb());
+  for (const EffectiveSettings& want : ExpectedEffectiveSettings()) {
+    SCOPED_TRACE(want.setup);
+    ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+    std::istringstream setup(want.setup);
+    std::string token;
+    setup >> token;
+    ASSERT_OK(s->Set("profile", token));
+    while (setup >> token) {
+      size_t eq = token.find('=');
+      ASSERT_OK(s->Set(token.substr(0, eq), token.substr(eq + 1)));
+    }
+    const PlannerOptions p = s->PlannerConfig();
+    EXPECT_EQ(p.memo, want.memo ? &engine.memo() : nullptr);
+    EXPECT_EQ(p.index_mode, want.index_mode);
+    EXPECT_EQ(p.index_advisor,
+              want.advisor_wired ? &engine.advisor() : nullptr);
+    EXPECT_EQ(p.index_min_rows, want.index_min_rows);
+    EXPECT_EQ(p.columnar_mode, want.columnar_mode);
+    EXPECT_EQ(p.columnar_threads, want.columnar_threads);
+    EXPECT_EQ(p.columnar_min_rows, want.columnar_min_rows);
+    EXPECT_EQ(p.columnar_morsel_rows, want.columnar_morsel_rows);
+    EXPECT_EQ(p.columnar_max_delta_fraction,
+              want.columnar_max_delta_fraction);
+    EXPECT_EQ(p.incremental_mode, want.incremental_mode);
+    EXPECT_EQ(p.incremental_cache, want.incremental_cache_wired
+                                       ? &engine.incremental_cache()
+                                       : nullptr);
+    EXPECT_EQ(p.incremental_edit_fraction, want.incremental_edit_fraction);
+    EXPECT_EQ(p.reuse_count, want.reuse_count);
+    EXPECT_EQ(p.max_lazy_tree_size, want.max_lazy_tree_size);
+    EXPECT_EQ(p.delta_fraction_threshold, want.delta_fraction_threshold);
+    EXPECT_EQ(p.simplify, want.simplify);
+    EXPECT_EQ(p.budget.deadline_ms, want.deadline_ms);
+    EXPECT_EQ(p.budget.max_tuples, want.max_tuples);
+    EXPECT_EQ(p.budget.max_rewrite_nodes, want.max_rewrite_nodes);
+    EXPECT_EQ(p.budget.max_index_build_rows, want.max_index_build_rows);
+    EXPECT_EQ(p.budget.check_interval, want.check_interval);
+    EXPECT_NE(p.cancel_token, nullptr);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +482,7 @@ TEST(SessionFacadeTest, AllStrategiesAgreeOnTheTree) {
     QueryPtr q = RandomQuery(&rng, schema, 2, gen);
     const std::string& at =
         names[static_cast<size_t>(rng.Uniform(0, static_cast<int64_t>(names.size()) - 1))];
-    ASSERT_OK(s->SetProfile("default"));
+    ASSERT_OK(s->Set("profile", "default"));
     ASSERT_OK(s->Set("strategy", "direct"));
     auto expect = s->Query(at, q);
     for (const char* strategy :

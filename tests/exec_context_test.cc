@@ -163,18 +163,20 @@ TEST(ExecContextTest, TraceSpanRecordsOnlyWhenTracingIsOn) {
   EXPECT_EQ(stats.spans[0].rows_out, 4u);
 }
 
-TEST(ExecContextTest, CategoryResetsAreIndependent) {
+TEST(ExecContextTest, ResetZeroesEveryCounterRouteAndSpan) {
   ExecContext ctx;
+  ctx.set_tracing(true);
+  ctx.AddMemoHit();
   ctx.AddViewCreated();
   ctx.AddIndexProbe();
-  ctx.AddMemoHit();
+  ctx.AddColumnarMorselsDispatched(3);
+  ctx.AddIncrementalFallback();
   ctx.AddLazyFallback();
-  ctx.ResetViewCounters();
-  ExecStats stats = ctx.Snapshot();
-  EXPECT_EQ(stats.views_created, 0u);
-  EXPECT_EQ(stats.index_probes, 1u);
-  EXPECT_EQ(stats.memo_hits, 1u);
-  EXPECT_EQ(stats.governor_lazy_fallbacks, 1u);
+  ctx.NoteRoute("lazy");
+  ctx.RecordSpan(OperatorSpan{});
+  ASSERT_NE(ctx.Snapshot().ToJson(), ExecContext().Snapshot().ToJson());
+  ctx.Reset();
+  EXPECT_EQ(ctx.Snapshot().ToJson(), ExecContext().Snapshot().ToJson());
 }
 
 // ---------------------------------------------------------------------------

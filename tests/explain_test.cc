@@ -70,6 +70,35 @@ TEST(ExplainTest, FlagsPreciseDeltaFallback) {
             std::string::npos);
 }
 
+TEST(ExplainTest, RuntimeHalfComesFromContextAndMemoCache) {
+  Schema schema = MakeSchema({{"R", 1}});
+  StatsCatalog stats;
+  QueryPtr q = Rel("R");
+
+  // No cache given: no memo counters and no memo line.
+  ExecContext ctx;
+  ExecContextScope scope(&ctx);
+  ctx.AddViewCreated();
+  ASSERT_OK_AND_ASSIGN(ExplainReport plain, Explain(q, schema, stats));
+  EXPECT_FALSE(plain.memo.has_value());
+  EXPECT_EQ(plain.exec.views_created, 1u);
+  EXPECT_EQ(FormatExplain(plain).find("memo:"), std::string::npos);
+
+  MemoCache cache(4);
+  EXPECT_EQ(cache.Lookup(7), nullptr);
+  cache.Insert(7, std::make_shared<const Relation>(1));
+  EXPECT_NE(cache.Lookup(7), nullptr);
+  ASSERT_OK_AND_ASSIGN(ExplainReport report,
+                       Explain(q, schema, stats, &cache));
+  ASSERT_TRUE(report.memo.has_value());
+  EXPECT_EQ(report.memo->hits, 1u);
+  EXPECT_EQ(report.memo->misses, 1u);
+  EXPECT_EQ(report.memo->entries, 1u);
+  EXPECT_NE(FormatExplain(report).find("memo:       1 hits, 1 misses (50.0%"),
+            std::string::npos)
+      << FormatExplain(report);
+}
+
 TEST(ExplainTest, NeverFailsOnRandomQueries) {
   Rng rng(1031);
   Schema schema = PropertySchema();

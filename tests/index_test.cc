@@ -136,15 +136,15 @@ TEST(IndexCacheTest, CopiesDropTheCacheMovesCarryIt) {
   EXPECT_NE(moved.ExistingIndex({0}), nullptr);
 }
 
-IndexConfig ManualConfig() {
-  IndexConfig config;
-  config.mode = IndexMode::kManual;
-  config.min_index_rows = 1;
+PhysicalPolicy ManualConfig() {
+  PhysicalPolicy config;
+  config.index_mode = IndexMode::kManual;
+  config.index_min_rows = 1;
   return config;
 }
 
 TEST(IndexedFilterTest, OverlayProbeBeforeAndAfterApplyDelta) {
-  IndexConfig config = ManualConfig();
+  PhysicalPolicy config = ManualConfig();
   RelationView flat(Ints({{1, 10}, {1, 20}, {2, 30}, {3, 40}}));
   flat.base()->IndexOn({0});
   ScalarExprPtr pred = Eq(Col(0), Int(1));
@@ -169,7 +169,7 @@ TEST(IndexedFilterTest, ConsolidationBoundaryDropsTheSharedIndex) {
   // A delta past kConsolidateFraction consolidates into a fresh base: the
   // old base's index no longer applies, and the probe path reports a miss
   // (manual mode, nothing built on the new base) instead of using it.
-  IndexConfig config = ManualConfig();
+  PhysicalPolicy config = ManualConfig();
   RelationView flat(Ints({{1, 10}, {2, 20}, {3, 30}, {4, 40}}));
   flat.base()->IndexOn({0});
 
@@ -191,7 +191,7 @@ TEST(IndexedFilterTest, ConsolidationBoundaryDropsTheSharedIndex) {
 }
 
 TEST(IndexedFilterTest, ResidualAndModeGates) {
-  IndexConfig config = ManualConfig();
+  PhysicalPolicy config = ManualConfig();
   RelationView view(Ints({{1, 10}, {1, 20}, {2, 30}}));
   view.base()->IndexOn({0});
 
@@ -206,12 +206,12 @@ TEST(IndexedFilterTest, ResidualAndModeGates) {
       TryIndexedFilter(view, Gt(Col(1), Int(0)), config).has_value());
 
   // Off mode never probes.
-  IndexConfig off;
+  PhysicalPolicy off;
   EXPECT_FALSE(TryIndexedFilter(view, pred, off).has_value());
 
   // Small bases are never probed.
-  IndexConfig big_floor = ManualConfig();
-  big_floor.min_index_rows = 1000;
+  PhysicalPolicy big_floor = ManualConfig();
+  big_floor.index_min_rows = 1000;
   EXPECT_FALSE(TryIndexedFilter(view, pred, big_floor).has_value());
 
   // Out-of-arity equality columns (null semantics) never probe.
@@ -220,7 +220,7 @@ TEST(IndexedFilterTest, ResidualAndModeGates) {
 }
 
 TEST(IndexedJoinTest, ProbesLargerSideAndPatchesOverlay) {
-  IndexConfig config = ManualConfig();
+  PhysicalPolicy config = ManualConfig();
   RelationView small(Ints({{1, 100}, {2, 200}, {9, 900}}));
   RelationView big_flat(
       Ints({{1, 11}, {1, 12}, {2, 21}, {3, 31}, {4, 41}, {5, 51}}));
@@ -303,10 +303,10 @@ TEST(FlattenConjunctsTest, FlattensAndTreesOnly) {
 TEST(IndexPropertyTest, IndexedKernelsMatchScansOnVersionTrees) {
   Rng rng(20260806);
   IndexAdvisor advisor(/*build_threshold=*/1);
-  IndexConfig config;
-  config.mode = IndexMode::kAdvisor;
-  config.advisor = &advisor;
-  config.min_index_rows = 1;
+  PhysicalPolicy config;
+  config.index_mode = IndexMode::kAdvisor;
+  config.index_advisor = &advisor;
+  config.index_min_rows = 1;
 
   for (int trial = 0; trial < 40; ++trial) {
     // A base relation and a chain of random deltas stacked on it.

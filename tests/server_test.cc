@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "parser/parser.h"
 #include "server/client.h"
+#include "server/soak.h"
 #include "server/wire.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -297,6 +298,100 @@ TEST_F(ServerTest, StopWithLiveConnectionsIsClean) {
   ASSERT_OK_AND_ASSIGN(WireClient c, Connect());
   ASSERT_OK(c.CallOk("ping").status());
   c.Quit();
+}
+
+// Clients hang up while Stop() cancels and tears their sessions down: a
+// handler releasing its session must not race Stop() cancelling it.
+TEST_F(ServerTest, ClientsDisconnectWhileStopRuns) {
+  constexpr int kClients = 8;
+  for (int round = 0; round < 5; ++round) {
+    if (round > 0) {
+      ASSERT_OK(server_.Start());
+    }
+    std::atomic<int> connected{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        auto client = WireClient::Connect(server_.port());
+        if (!client.ok()) {
+          ADD_FAILURE() << client.status().ToString();
+          connected.fetch_add(1);
+          return;
+        }
+        (void)client->Call("derive root n" + std::to_string(c) +
+                           " {ins(emp, {(9, 10)})}");
+        connected.fetch_add(1);
+        while (!go.load()) std::this_thread::yield();
+        // Keep traffic flowing for a few requests, then vanish.
+        for (int i = 0; i < c % 4; ++i) {
+          if (!client->Call("query root emp join[$1 = $2] dept").ok()) break;
+        }
+        client->Close();
+      });
+    }
+    while (connected.load() < kClients) std::this_thread::yield();
+    go.store(true);
+    server_.Stop();
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(engine_.live_sessions(), 0u) << "round " << round;
+    EXPECT_EQ(server_.active_connections(), 0u) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Network soak against an in-process server
+
+class NetSoakTest : public ::testing::Test {
+ protected:
+  NetSoakTest() : engine_(GenBase()), server_(&engine_, ServerOptions()) {}
+
+  // The base hql_serve --gen-rows/--gen-seed/--gen-domain would build,
+  // which is what the soak's local mirror rebuilds.
+  static Database GenBase() {
+    Rng rng(kSeed);
+    return RandomDatabase(&rng, PropertySchema(), kRows, kDomain);
+  }
+
+  void SetUp() override { ASSERT_OK(server_.Start()); }
+  void TearDown() override { server_.Stop(); }
+
+  NetSoakConfig Config() const {
+    NetSoakConfig config;
+    config.port = server_.port();
+    config.sessions = 2;
+    config.nodes_per_session = 3;
+    config.ops_per_phase = 6;
+    config.seed = kSeed;
+    config.gen_rows = kRows;
+    config.gen_domain = kDomain;
+    return config;
+  }
+
+  static constexpr uint64_t kSeed = 5;
+  static constexpr size_t kRows = 24;
+  static constexpr int64_t kDomain = 16;
+  Engine engine_;
+  HqlServer server_;
+};
+
+TEST_F(NetSoakTest, DefaultPoolAgreesWithMirror) {
+  for (const std::string& q : DefaultSoakQueries()) {
+    EXPECT_OK(ParseQuery(q).status()) << q;
+  }
+  ASSERT_OK_AND_ASSIGN(NetSoakReport report, RunNetSoak(Config()));
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_EQ(report.mismatches, 0u);
+  EXPECT_GT(report.requests, 0u);
+}
+
+TEST_F(NetSoakTest, UnparsablePoolQueryIsAFailure) {
+  // Server and mirror both reject it, which used to pass as agreement.
+  NetSoakConfig config = Config();
+  config.queries = {"A1 u B1"};
+  ASSERT_OK_AND_ASSIGN(NetSoakReport report, RunNetSoak(config));
+  EXPECT_FALSE(report.ok());
+  EXPECT_GT(report.mismatches, 0u);
 }
 
 // ---------------------------------------------------------------------------

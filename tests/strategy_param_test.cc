@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "eval/direct.h"
 #include "opt/planner.h"
+#include "storage/index.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 

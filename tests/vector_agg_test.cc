@@ -38,12 +38,12 @@ using hql::testing::MakeSchema;
 constexpr AggFunc kAllFuncs[] = {AggFunc::kCount, AggFunc::kSum, AggFunc::kMin,
                                  AggFunc::kMax};
 
-ColumnarConfig TestConfig(size_t morsel_rows = 8, size_t threads = 1) {
-  ColumnarConfig config;
-  config.mode = ColumnarMode::kAuto;
-  config.min_rows = 1;
-  config.morsel_rows = morsel_rows;
-  config.threads = threads;
+PhysicalPolicy TestConfig(size_t morsel_rows = 8, size_t threads = 1) {
+  PhysicalPolicy config;
+  config.columnar_mode = ColumnarMode::kAuto;
+  config.columnar_min_rows = 1;
+  config.columnar_morsel_rows = morsel_rows;
+  config.columnar_threads = threads;
   return config;
 }
 
@@ -67,12 +67,12 @@ TEST(ColumnarAggregateTest, GatesMirrorTheFilterKernel) {
   Relation rel = GenRelation(&rng, 100, 2, 10);
   RelationView view(std::make_shared<Relation>(rel));
 
-  ColumnarConfig off;  // mode kOff
+  PhysicalPolicy off;  // mode kOff
   EXPECT_FALSE(
       TryColumnarAggregate(view, {0}, AggFunc::kSum, 1, off).has_value());
 
-  ColumnarConfig small = TestConfig();
-  small.min_rows = 1000;  // base too small
+  PhysicalPolicy small = TestConfig();
+  small.columnar_min_rows = 1000;  // base too small
   EXPECT_FALSE(
       TryColumnarAggregate(view, {0}, AggFunc::kSum, 1, small).has_value());
 
@@ -88,8 +88,8 @@ TEST(ColumnarAggregateTest, GatesMirrorTheFilterKernel) {
   RelationView heavy = RelationView::Overlay(
       std::make_shared<Relation>(rel),
       {IntRow({200, 1}), IntRow({201, 1})}, {});
-  ColumnarConfig strict = TestConfig();
-  strict.max_delta_fraction = 0.001;
+  PhysicalPolicy strict = TestConfig();
+  strict.columnar_max_delta_fraction = 0.001;
   EXPECT_FALSE(
       TryColumnarAggregate(heavy, {0}, AggFunc::kSum, 1, strict).has_value());
 
@@ -101,7 +101,7 @@ TEST(ColumnarAggregateTest, GatesMirrorTheFilterKernel) {
 TEST(ColumnarAggregateTest, ExactnessGatesOnSumAndMinMax) {
   Relation rel = MixedRelation();
   RelationView view(std::make_shared<Relation>(rel));
-  ColumnarConfig config = TestConfig(2);
+  PhysicalPolicy config = TestConfig(2);
 
   // Sum over a double or mixed column is order-sensitive: row kernel only.
   EXPECT_FALSE(
@@ -205,8 +205,8 @@ TEST(ColumnarAggregateTest, EmptyAfterDeletionsMatchesRowKernel) {
       std::make_shared<Relation>(rel), {}, {IntRow({1, 2}), IntRow({3, 4})});
   // Deleting the whole base is a delta fraction of 1.0; lift the gate so
   // the empty-output path itself is what gets exercised.
-  ColumnarConfig config = TestConfig();
-  config.max_delta_fraction = 1.0;
+  PhysicalPolicy config = TestConfig();
+  config.columnar_max_delta_fraction = 1.0;
   for (AggFunc func : kAllFuncs) {
     auto got = TryColumnarAggregate(view, {0}, func, 1, config);
     ASSERT_TRUE(got.has_value()) << AggFuncName(func);
@@ -262,7 +262,7 @@ TEST(ColumnarWhenTest, DeltaLeavesRouteThroughTheColumnarScan) {
   ExecContextScope scope(&ctx);
   ASSERT_OK_AND_ASSIGN(
       Relation columnar,
-      EvalFilterD(q, db, delta, nullptr, IndexConfig(), TestConfig(64)));
+      EvalFilterD(q, db, delta, nullptr, TestConfig(64)));
   ASSERT_OK_AND_ASSIGN(Relation row, EvalFilterD(q, db, delta));
   EXPECT_EQ(columnar, row);
   ExecStats stats = ctx.Snapshot();
@@ -290,7 +290,7 @@ TEST(ColumnarWhenTest, EmptyAfterCanonicalizationTakesTheFlatFastPath) {
   ExecContextScope scope(&ctx);
   ASSERT_OK_AND_ASSIGN(
       Relation got,
-      EvalFilterD(q, db, noop, nullptr, IndexConfig(), TestConfig(64)));
+      EvalFilterD(q, db, noop, nullptr, TestConfig(64)));
   ASSERT_OK_AND_ASSIGN(Relation want, EvalFilterD(q, db, DeltaValue()));
   EXPECT_EQ(got, want);
   ExecStats stats = ctx.Snapshot();
@@ -313,7 +313,7 @@ TEST(ColumnarWhenTest, JoinDeltaLeavesRouteThroughTheColumnarJoin) {
   ExecContextScope scope(&ctx);
   ASSERT_OK_AND_ASSIGN(
       Relation columnar,
-      EvalFilterD(q, db, delta, nullptr, IndexConfig(), TestConfig(64)));
+      EvalFilterD(q, db, delta, nullptr, TestConfig(64)));
   ASSERT_OK_AND_ASSIGN(Relation row, EvalFilterD(q, db, delta));
   EXPECT_EQ(columnar, row);
   EXPECT_EQ(ctx.Snapshot().columnar_when_routed, 1u);
@@ -371,7 +371,7 @@ TEST(ColumnarAggregatePropertyTest, VectorizedEqualsRowKernel) {
       Relation adds = GenRelation(&rng, rng.Uniform(0, 12), arity, 8, 12);
       view = RelationView::Overlay(shared, adds.tuples(), dels.tuples());
     }
-    ColumnarConfig config = TestConfig(
+    PhysicalPolicy config = TestConfig(
         /*morsel_rows=*/1 + static_cast<size_t>(rng.Uniform(0, 100)),
         /*threads=*/1 + static_cast<size_t>(rng.Uniform(0, 3)));
 
