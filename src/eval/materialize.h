@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "eval/delta.h"
 #include "eval/memo.h"
+#include "eval/physical_policy.h"
 #include "eval/xsub.h"
 #include "storage/database.h"
 #include "storage/schema.h"
@@ -43,6 +44,20 @@ Result<DeltaValue> MaterializeDelta(const HypoExprPtr& state,
 /// a null `memo` this is exactly EvalState (eval/direct.h).
 Result<Database> EvalStateMemo(const HypoExprPtr& state, const Database& db,
                                MemoCache* memo);
+
+/// [eta](DB) as a reusable state: the copy-on-write database a scenario
+/// node caches and serves every later query from (Example 2.2). Same
+/// content as EvalState, built for small edges over large relations:
+/// update arguments and conditional guards that are pure RA run through
+/// EvalRa over `db`'s views, so a scan streams the overlay instead of
+/// copying the relation and `policy`'s index and columnar kernels apply;
+/// each written relation becomes an O(|argument|) overlay on its parent
+/// view. Arguments with a nested `when`, substitutions and state-level
+/// `when` fall back to EvalState. Kernels stop early when the ambient
+/// governor trips, so callers that cache the result must GovernorCheck()
+/// first.
+Result<Database> MaterializeState(const HypoExprPtr& state, const Database& db,
+                                  const PhysicalPolicy& policy);
 
 }  // namespace hql
 

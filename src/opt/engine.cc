@@ -10,6 +10,8 @@
 #include "ast/update.h"
 #include "common/strings.h"
 #include "eval/direct.h"
+#include "eval/materialize.h"
+#include "hql/free_dom.h"
 
 namespace hql {
 
@@ -386,19 +388,17 @@ Session::Session(Engine* engine, std::string name, Database base,
     : engine_(engine),
       name_(std::move(name)),
       cancel_(std::make_shared<CancelToken>()),
-      base_(std::move(base)),
       snapshot_version_(base_version),
       options_(std::move(options)) {
-  nodes_.push_back(Node{"root", -1, nullptr, nullptr});
+  nodes_.push_back(
+      Node{"root", -1, nullptr, std::make_shared<const Database>(std::move(base))});
 }
 
 Session::~Session() { engine_->ReleaseSession(); }
 
 int Session::FindNode(const std::string& name) const {
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].name.empty() && nodes_[i].name == name) {
-      return static_cast<int>(i);
-    }
+    if (nodes_[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
@@ -410,7 +410,7 @@ Status Session::Derive(const std::string& parent, const std::string& child,
     return Status::InvalidArgument("derive: empty scenario name");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  HQL_RETURN_IF_ERROR(CheckHypo(edge, base_.schema()));
+  HQL_RETURN_IF_ERROR(CheckHypo(edge, base().schema()));
   int p = FindNode(parent);
   if (p < 0) {
     return Status::NotFound(StrFormat("no scenario '%s'", parent.c_str()));
@@ -426,7 +426,7 @@ Status Session::Derive(const std::string& parent, const std::string& child,
 Status Session::Edit(const std::string& node, const HypoExprPtr& edge) {
   if (edge == nullptr) return Status::InvalidArgument("edit: null edge");
   std::lock_guard<std::mutex> lock(mu_);
-  HQL_RETURN_IF_ERROR(CheckHypo(edge, base_.schema()));
+  HQL_RETURN_IF_ERROR(CheckHypo(edge, base().schema()));
   int i = FindNode(node);
   if (i < 0) {
     return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
@@ -444,21 +444,23 @@ Status Session::Drop(const std::string& node) {
     return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
   }
   if (i == 0) return Status::InvalidArgument("the root cannot be dropped");
-  // Children are always appended after their parent, so one forward sweep
-  // finds the whole subtree.
-  std::vector<bool> doomed(nodes_.size(), false);
-  doomed[static_cast<size_t>(i)] = true;
-  for (size_t j = static_cast<size_t>(i) + 1; j < nodes_.size(); ++j) {
-    if (nodes_[j].name.empty()) continue;
-    if (nodes_[j].parent >= 0 &&
-        doomed[static_cast<size_t>(nodes_[j].parent)]) {
-      doomed[j] = true;
-    }
-  }
+  // Children always follow their parent, so one forward sweep finds the
+  // whole subtree (a node whose parent was not kept). Survivors shift down
+  // in order, keeping that invariant, with their parents remapped.
+  std::vector<int> remap(nodes_.size(), -1);
+  size_t kept = 0;
   for (size_t j = 0; j < nodes_.size(); ++j) {
-    if (!doomed[j]) continue;
-    nodes_[j] = Node{};  // empty name = dropped slot
+    Node& n = nodes_[j];
+    if (static_cast<int>(j) == i ||
+        (n.parent >= 0 && remap[static_cast<size_t>(n.parent)] < 0)) {
+      continue;
+    }
+    if (n.parent >= 0) n.parent = remap[static_cast<size_t>(n.parent)];
+    remap[j] = static_cast<int>(kept);
+    if (kept != j) nodes_[kept] = std::move(n);
+    ++kept;
   }
+  nodes_.resize(kept);
   return Status::OK();
 }
 
@@ -467,8 +469,7 @@ void Session::InvalidateSubtree(int index) {
   stale[static_cast<size_t>(index)] = true;
   nodes_[static_cast<size_t>(index)].state = nullptr;
   for (size_t j = static_cast<size_t>(index) + 1; j < nodes_.size(); ++j) {
-    if (nodes_[j].name.empty()) continue;
-    if (nodes_[j].parent >= 0 && stale[static_cast<size_t>(nodes_[j].parent)]) {
+    if (stale[static_cast<size_t>(nodes_[j].parent)]) {
       stale[j] = true;
       nodes_[j].state = nullptr;
     }
@@ -485,145 +486,145 @@ HypoExprPtr Session::PathState(int index) const {
   return state;
 }
 
-Result<std::shared_ptr<Database>> Session::StateOf(int index) {
-  // Walk up to the nearest materialized ancestor, then materialize down —
-  // each step is one EvalState over the parent's CoW state, so deriving a
-  // new leaf touches only the edge's delta.
+template <typename Fn>
+auto Session::Governed(Fn&& fn) {
+  PlannerOptions planner;
+  Strategy strategy;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    planner = PlannerConfigLocked();
+    strategy = options_.strategy;
+  }
+  using Out = decltype(fn(strategy, planner));
+  if (cancel_->cancelled()) return Out(Status::Cancelled("session cancelled"));
+  // The context outlives the governor, which publishes its high-water
+  // marks into it on destruction.
+  ExecContextScope scope(&exec_);
+  ExecGovernor governor(planner.budget, planner.cancel_token);
+  GovernorScope governed(&governor);
+  return fn(strategy, planner);
+}
+
+Result<std::shared_ptr<const Database>> Session::StateOf(int index) {
+  // Walk up to the nearest built ancestor (the root always is), then build
+  // down, one edge at a time over the parent's CoW state. A step is cached
+  // only after the governor confirms no kernel stopped early.
   std::vector<int> path;
   int cur = index;
-  while (cur >= 0 && nodes_[static_cast<size_t>(cur)].state == nullptr) {
+  while (nodes_[static_cast<size_t>(cur)].state == nullptr) {
     path.push_back(cur);
     cur = nodes_[static_cast<size_t>(cur)].parent;
   }
-  std::shared_ptr<Database> state =
-      cur >= 0 ? nodes_[static_cast<size_t>(cur)].state
-               : std::make_shared<Database>(base_);
-  if (cur < 0 && !path.empty() && path.back() == 0) {
-    nodes_[0].state = state;
-    path.pop_back();
-  }
+  std::shared_ptr<const Database> state = nodes_[static_cast<size_t>(cur)].state;
+  if (path.empty()) return state;
+  const PhysicalPolicy policy = PlannerConfigLocked().physical();
+  const bool tracing = AmbientExecContext().tracing();
+  // Tuples in the relations `edge` writes: the span's rows in and out.
+  auto written = [tracing](const HypoExprPtr& edge, const Database& db) {
+    uint64_t n = 0;
+    if (!tracing) return n;
+    for (const std::string& name : DomNames(edge)) n += db.ViewRef(name).size();
+    return n;
+  };
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
     Node& n = nodes_[static_cast<size_t>(*it)];
-    HQL_ASSIGN_OR_RETURN(Database next, EvalState(n.edge, *state));
-    state = std::make_shared<Database>(std::move(next));
+    TraceSpan span("materialize-state", written(n.edge, *state));
+    HQL_ASSIGN_OR_RETURN(Database next,
+                         MaterializeState(n.edge, *state, policy));
+    HQL_RETURN_IF_ERROR(GovernorCheck());
+    span.set_rows_out(written(n.edge, next));
+    state = std::make_shared<const Database>(std::move(next));
     n.state = state;
   }
   return state;
 }
 
-Result<Relation> Session::RunAt(int index, const QueryPtr& query) {
-  // Compose `Q when (path)` and hand the whole thing to the planner: which
-  // point of the lazy<->eager spectrum evaluates the path is exactly the
-  // session's strategy knob (every strategy computes the same value).
-  QueryPtr composed;
-  PlannerOptions planner;
-  Strategy strategy;
-  Database base{Schema()};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    HypoExprPtr state = PathState(index);
-    composed = state == nullptr ? query : Query::When(query, state);
-    planner = PlannerConfigLocked();
-    strategy = options_.strategy;
-    base = base_;
+Result<Session::Read> Session::ReadAt(const std::string& node,
+                                      const QueryPtr& query,
+                                      Strategy strategy) {
+  std::lock_guard<std::mutex> lock(mu_);
+  int i = FindNode(node);
+  if (i < 0) {
+    return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
   }
-  if (cancel_->cancelled()) {
-    return Status::Cancelled("session cancelled");
+  // Hybrid treats the node's cached state as an eager materialization
+  // already paid for and runs Q there; a pinned strategy evaluates the
+  // whole path its own way, from the base.
+  if (strategy == Strategy::kHybrid) {
+    HQL_ASSIGN_OR_RETURN(std::shared_ptr<const Database> state, StateOf(i));
+    return Read{std::move(state), query};
   }
-  HQL_RETURN_IF_ERROR(InferQueryArity(composed, base.schema()).status());
-  ExecContextScope scope(&exec_);
-  return Execute(composed, base, base.schema(), strategy, planner);
+  HypoExprPtr path = PathState(i);
+  return Read{nodes_[0].state,
+              path == nullptr ? query : Query::When(query, path)};
 }
 
 Result<Relation> Session::Query(const std::string& node,
                                 const QueryPtr& query) {
   if (query == nullptr) return Status::InvalidArgument("query: null query");
-  int i;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    i = FindNode(node);
-  }
-  if (i < 0) {
-    return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
-  }
-  return RunAt(i, query);
+  return Governed([&](Strategy strategy,
+                      const PlannerOptions& planner) -> Result<Relation> {
+    HQL_ASSIGN_OR_RETURN(Read read, ReadAt(node, query, strategy));
+    const Schema& schema = read.db->schema();
+    HQL_RETURN_IF_ERROR(InferQueryArity(read.query, schema).status());
+    return Execute(read.query, *read.db, schema, strategy, planner);
+  });
 }
 
 Result<Relation> Session::Compare(const std::string& a, const std::string& b,
                                   const QueryPtr& query) {
   if (query == nullptr) return Status::InvalidArgument("compare: null query");
-  QueryPtr diff;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    int ia = FindNode(a);
-    if (ia < 0) {
-      return Status::NotFound(StrFormat("no scenario '%s'", a.c_str()));
+  return Governed([&](Strategy strategy,
+                      const PlannerOptions& planner) -> Result<Relation> {
+    HQL_ASSIGN_OR_RETURN(Read at_a, ReadAt(a, query, strategy));
+    HQL_ASSIGN_OR_RETURN(Read at_b, ReadAt(b, query, strategy));
+    const Schema& schema = at_a.db->schema();
+    if (strategy != Strategy::kHybrid) {
+      QueryPtr diff = Query::Difference(at_a.query, at_b.query);
+      HQL_RETURN_IF_ERROR(InferQueryArity(diff, schema).status());
+      return Execute(diff, *at_a.db, schema, strategy, planner);
     }
-    int ib = FindNode(b);
-    if (ib < 0) {
-      return Status::NotFound(StrFormat("no scenario '%s'", b.c_str()));
-    }
-    HypoExprPtr sa = PathState(ia);
-    HypoExprPtr sb = PathState(ib);
-    diff = Query::Difference(
-        sa == nullptr ? query : Query::When(query, sa),
-        sb == nullptr ? query : Query::When(query, sb));
-  }
-  return RunAt(0, diff);
+    HQL_RETURN_IF_ERROR(InferQueryArity(query, schema).status());
+    HQL_ASSIGN_OR_RETURN(Relation left,
+                         Execute(query, *at_a.db, schema, strategy, planner));
+    HQL_ASSIGN_OR_RETURN(Relation right,
+                         Execute(query, *at_b.db, schema, strategy, planner));
+    return left.DifferenceWith(right);
+  });
 }
 
 Result<AnalyzeReport> Session::Analyze(const std::string& node,
                                        const QueryPtr& query) {
   if (query == nullptr) return Status::InvalidArgument("analyze: null query");
-  QueryPtr composed;
-  AnalyzeOptions opts;
-  Database base{Schema()};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    int i = FindNode(node);
-    if (i < 0) {
-      return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
-    }
-    HypoExprPtr state = PathState(i);
-    composed = state == nullptr ? query : Query::When(query, state);
-    opts.strategy = options_.strategy;
-    opts.planner = PlannerConfigLocked();
-    base = base_;
-  }
-  if (cancel_->cancelled()) {
-    return Status::Cancelled("session cancelled");
-  }
-  ExecContextScope scope(&exec_);
-  return ExplainAnalyze(composed, base, base.schema(), opts);
+  return Governed([&](Strategy strategy,
+                      const PlannerOptions& planner) -> Result<AnalyzeReport> {
+    HQL_ASSIGN_OR_RETURN(Read read, ReadAt(node, query, strategy));
+    AnalyzeOptions opts;
+    opts.strategy = strategy;
+    opts.planner = planner;
+    return ExplainAnalyze(read.query, *read.db, read.db->schema(), opts);
+  });
 }
 
 std::vector<ScenarioInfo> Session::Nodes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<ScenarioInfo> out;
-  out.push_back(ScenarioInfo{"root", "", nodes_[0].state != nullptr});
-  std::vector<ScenarioInfo> rest;
-  for (size_t i = 1; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    if (n.name.empty()) continue;
-    rest.push_back(ScenarioInfo{
-        n.name, nodes_[static_cast<size_t>(n.parent)].name,
+  for (const Node& n : nodes_) {
+    out.push_back(ScenarioInfo{
+        n.name,
+        n.parent < 0 ? "" : nodes_[static_cast<size_t>(n.parent)].name,
         n.state != nullptr});
   }
-  std::sort(rest.begin(), rest.end(),
+  std::sort(out.begin() + 1, out.end(),
             [](const ScenarioInfo& x, const ScenarioInfo& y) {
               return x.name < y.name;
             });
-  out.insert(out.end(), rest.begin(), rest.end());
   return out;
 }
 
 size_t Session::NumNodes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t count = 0;
-  for (const Node& n : nodes_) {
-    if (!n.name.empty()) ++count;
-  }
-  return count;
+  return nodes_.size();
 }
 
 Status Session::Set(const std::string& knob, const std::string& value) {
@@ -662,36 +663,33 @@ Status Session::Refresh() {
   Database next = engine_->Snapshot();
   uint64_t version = engine_->base_version();
   std::lock_guard<std::mutex> lock(mu_);
-  if (!(next.schema().arities() == base_.schema().arities())) {
-    size_t live = 0;
-    for (const Node& n : nodes_) {
-      if (!n.name.empty()) ++live;
-    }
-    if (live > 1) {
-      return Status::InvalidArgument(
-          "refresh: schema changed under a non-trivial scenario tree; "
-          "drop derived scenarios first");
-    }
+  if (!(next.schema().arities() == base().schema().arities()) &&
+      nodes_.size() > 1) {
+    return Status::InvalidArgument(
+        "refresh: schema changed under a non-trivial scenario tree; "
+        "drop derived scenarios first");
   }
-  base_ = std::move(next);
   snapshot_version_ = version;
   for (Node& n : nodes_) n.state = nullptr;
+  nodes_[0].state = std::make_shared<const Database>(std::move(next));
   return Status::OK();
 }
 
 Database Session::BaseSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return base_;
+  return base();
 }
 
 Result<Database> Session::StateAt(const std::string& node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  int i = FindNode(node);
-  if (i < 0) {
-    return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
-  }
-  HQL_ASSIGN_OR_RETURN(std::shared_ptr<Database> state, StateOf(i));
-  return *state;
+  return Governed([&](Strategy, const PlannerOptions&) -> Result<Database> {
+    std::lock_guard<std::mutex> lock(mu_);
+    int i = FindNode(node);
+    if (i < 0) {
+      return Status::NotFound(StrFormat("no scenario '%s'", node.c_str()));
+    }
+    HQL_ASSIGN_OR_RETURN(std::shared_ptr<const Database> state, StateOf(i));
+    return *state;
+  });
 }
 
 }  // namespace hql

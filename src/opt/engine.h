@@ -19,10 +19,11 @@
 //     IndexAdvisor / IncrementalCache, the default options, and session
 //     admission.
 //   * Session      — one client's private tree of named hypothetical
-//     states over an immutable snapshot of the base. Deriving a child
-//     scenario is O(delta) (CoW overlays), reads are snapshot-isolated
-//     (nothing a sibling session does is observable), and every query
-//     runs under the session's own ExecContext and governor budget.
+//     states over an immutable snapshot of the base. Each node's state is
+//     built once, O(|edge|) from its parent's (CoW overlays), and serves
+//     every hybrid read there; reads are snapshot-isolated (nothing a
+//     sibling session does is observable), and every request runs under
+//     the session's own ExecContext and governor budget.
 //
 //   Engine engine(schema, db);
 //   auto session = engine.CreateSession("alice").value();
@@ -177,10 +178,25 @@ class Engine {
   IncrementalCache incremental_;
 };
 
-/// One client's scenario tree. A session is owned by a single logical
-/// client; its methods may be called from that client's thread while
-/// Cancel() arrives from any other thread (the server uses this for
-/// disconnect-mid-query cleanup).
+/// One client's scenario tree: named nodes, each reached from its parent by
+/// a hypothetical update (an edge), over the base snapshot at the root.
+///
+/// A node's state [edge_1 # ... # edge_d](base) is a copy-on-write
+/// database built on first use from the nearest built ancestor, one
+/// O(|edge|) overlay step per edge (MaterializeState, eval/materialize.h),
+/// and cached until an Edit of the node or an ancestor, or a Refresh. Under
+/// the hybrid strategy that cached state is the eager materialization of
+/// Example 2.2, already paid for: Query, Compare and Analyze run the bare
+/// query against it, so one query asked across the tree keeps one plan
+/// fingerprint over overlays of one shared base, which the memo and the
+/// incremental cache reuse. A pinned strategy (direct, lazy, filter1-3)
+/// instead evaluates the composed `Q when (edge_1 # ... # edge_d)` over the
+/// base snapshot, so each point of the paper's spectrum stays measurable
+/// on its own.
+///
+/// A session is owned by a single logical client; its methods may be
+/// called from that client's thread while Cancel() arrives from any other
+/// thread (the server uses this for disconnect-mid-query cleanup).
 class Session {
  public:
   ~Session();
@@ -194,7 +210,7 @@ class Session {
 
   /// Adds scenario `child` below `parent`, reached by hypothetical update
   /// `edge`. AlreadyExists / NotFound on name clashes; the child state is
-  /// materialized lazily, O(|edge delta|) from the parent's state.
+  /// built on first use, O(|edge|) from the parent's state.
   Status Derive(const std::string& parent, const std::string& child,
                 const HypoExprPtr& edge);
 
@@ -203,14 +219,17 @@ class Session {
   /// cannot be edited.
   Status Edit(const std::string& node, const HypoExprPtr& edge);
 
-  /// Drops `node` and its whole subtree. The root cannot be dropped.
+  /// Drops `node` and its whole subtree, releasing their states; the node
+  /// table keeps live nodes only. The root cannot be dropped.
   Status Drop(const std::string& node);
 
   /// The value `query` has at scenario `node`, under the session's
-  /// options, context and governor budget.
+  /// options, context and governor budget. The budget covers building the
+  /// node's state as well as the query.
   Result<Relation> Query(const std::string& node, const QueryPtr& query);
 
-  /// The difference (Q at a) - (Q at b) of Example 2.1.
+  /// The difference (Q at a) - (Q at b) of Example 2.1. Under the hybrid
+  /// strategy Q runs at each node's state and the results are subtracted.
   Result<Relation> Compare(const std::string& a, const std::string& b,
                            const QueryPtr& query);
 
@@ -220,6 +239,8 @@ class Session {
 
   /// All live scenarios, root first, then sorted by name.
   std::vector<ScenarioInfo> Nodes() const;
+  /// Size of the node table, which holds exactly the live scenarios (root
+  /// included), however many were derived and dropped before.
   size_t NumNodes() const;
 
   // -- options & observability --
@@ -255,9 +276,9 @@ class Session {
 
   /// The base snapshot this session reads (for tests and the shell's \db).
   Database BaseSnapshot() const;
-  /// The fully materialized hypothetical state at `node` (the shell's
-  /// `\db <node>`): [path](base), computed O(delta) from the nearest
-  /// materialized ancestor and cached until an Edit/Refresh invalidates it.
+  /// The hypothetical state at `node` (the shell's `\db <node>`):
+  /// [path](base), the same cached state hybrid reads use, built under the
+  /// session's governor budget (records "materialize-state" spans).
   Result<Database> StateAt(const std::string& node);
   /// Engine base version this session's snapshot was taken at.
   uint64_t snapshot_version() const { return snapshot_version_; }
@@ -270,29 +291,46 @@ class Session {
   struct Node {
     std::string name;
     int parent = -1;
-    HypoExprPtr edge;                  // null for the root
-    std::shared_ptr<Database> state;   // lazily materialized; root = base
+    HypoExprPtr edge;  // null for the root
+    /// Built on first use; null when stale. The root's is the base snapshot.
+    std::shared_ptr<const Database> state;
+  };
+
+  /// What one read evaluates: the database handed to Execute and the query
+  /// run against it.
+  struct Read {
+    std::shared_ptr<const Database> db;
+    QueryPtr query;
   };
 
   int FindNode(const std::string& name) const;  // -1 when absent
+  const Database& base() const { return *nodes_[0].state; }
   /// PlannerConfig() with mu_ already held.
   PlannerOptions PlannerConfigLocked() const;
-  /// Materializes (and caches) the state of node `index`.
-  Result<std::shared_ptr<Database>> StateOf(int index);
+  /// Runs `fn(strategy, planner)` as one request: under the session's
+  /// ExecContext and one governor over its budget and cancel token.
+  template <typename Fn>
+  auto Governed(Fn&& fn);
+  /// The state of node `index`, built and cached on demand under the
+  /// ambient governor. mu_ held.
+  Result<std::shared_ptr<const Database>> StateOf(int index);
   void InvalidateSubtree(int index);
   /// Composition of the edges on the path root -> index (null at root).
   HypoExprPtr PathState(int index) const;
-  Result<Relation> RunAt(int index, const QueryPtr& query);
+  /// The read of `query` at `node` under `strategy`: the node's state and
+  /// the bare query for kHybrid, else the base and `Q when path`.
+  Result<Read> ReadAt(const std::string& node, const QueryPtr& query,
+                      Strategy strategy);
 
   Engine* engine_;
   std::string name_;
   CancelTokenPtr cancel_;
 
   mutable std::mutex mu_;
-  Database base_;
   uint64_t snapshot_version_ = 0;
   EngineOptions options_;
-  std::vector<Node> nodes_;  // dropped nodes have empty names
+  /// Live nodes only, root first; a child always follows its parent.
+  std::vector<Node> nodes_;
   ExecContext exec_;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@ namespace hql {
 namespace {
 
 using ::hql::testing::Ints;
+using ::hql::testing::IntRow;
 using ::hql::testing::MakeSchema;
 
 Schema SmallSchema() { return MakeSchema({{"emp", 2}, {"dept", 2}}); }
@@ -563,6 +565,322 @@ TEST(SessionFacadeTest, ConcurrentSessionsShareNothingObservable) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Scenario-node states: hybrid reads served from the cached CoW state
+
+TEST(SessionStateTest, NodeTableHoldsOnlyLiveNodesAfterChurn) {
+  Engine engine(SmallDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  ASSERT_OK(s->Derive("root", "keep", H("{ins(emp, {(4, 20)})}")));
+  HypoExprPtr edge = H("{del(emp, {(1, 10)})}");
+  for (int cycle = 0; cycle < 20000; ++cycle) {
+    ASSERT_OK(s->Derive("keep", "tmp", edge));
+    ASSERT_OK(s->Derive("tmp", "tmp2", edge));
+    ASSERT_OK(s->Drop("tmp"));
+  }
+  EXPECT_EQ(s->NumNodes(), 2u);
+  ASSERT_EQ(s->Nodes().size(), 2u);
+  EXPECT_EQ(s->Nodes()[1].parent, "root");
+  // Survivors keep their parent links across the compactions.
+  ASSERT_OK(s->Derive("keep", "tmp", edge));
+  ASSERT_OK(s->Derive("root", "side", H("{ins(emp, {(5, 20)})}")));
+  ASSERT_OK(s->Derive("tmp", "leaf", H("{ins(emp, {(6, 20)})}")));
+  ASSERT_OK(s->Drop("side"));
+  ASSERT_OK_AND_ASSIGN(Relation leaf, s->Query("leaf", Q("emp")));
+  EXPECT_EQ(leaf, Ints({{2, 10}, {3, 20}, {4, 20}, {6, 20}}));
+  EXPECT_EQ(s->NumNodes(), 4u);
+}
+
+// A relation whose square has nine million pairs: a state inserting it
+// takes far longer than any test waits.
+Database BigDb() {
+  Database db(MakeSchema({{"big", 2}}));
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 3000; ++i) rows.push_back(IntRow({i, i % 7}));
+  HQL_CHECK(db.Set("big", Relation::FromTuples(2, rows)).ok());
+  return db;
+}
+
+TEST(SessionStateTest, StateBuildChargesTheTupleBudget) {
+  Engine engine(SmallDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  // The edge's argument emits 9 tuples; the query at the node emits 1.
+  ASSERT_OK(s->Derive("root", "square",
+                      H("{ins(emp, pi[0,3](sigma[$0 >= 0](emp x emp)))}")));
+  ASSERT_OK(s->Set("max_tuples", "4"));
+  const QueryPtr q = Q("sigma[$0 = 1 and $1 = 10](emp)");
+  auto r = s->Query("square", q);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  auto state = s->StateAt("square");
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kResourceExhausted);
+  // A tripped build is not cached: lifting the budget builds it in full.
+  EXPECT_FALSE(s->Nodes()[1].materialized);
+  ASSERT_OK(s->Set("max_tuples", "0"));
+  ASSERT_OK_AND_ASSIGN(Relation one, s->Query("square", q));
+  EXPECT_EQ(one.size(), 1u);
+  ASSERT_OK_AND_ASSIGN(Relation emp, s->Query("square", Q("emp")));
+  EXPECT_EQ(emp.size(), 6u);  // 3 + the pairs (1,20), (2,20), (3,10)
+  EXPECT_TRUE(s->Nodes()[1].materialized);
+  EXPECT_GE(s->Stats().governor_tuple_trips, 2u);
+}
+
+TEST(SessionStateTest, CancelStopsAStateBuildInFlight) {
+  Engine engine(BigDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  s->exec_context().set_tracing(true);
+  ASSERT_OK(s->Derive("root", "square",
+                      H("{ins(big, pi[0,3](sigma[$0 < $2](big x big)))}")));
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    s->Cancel();
+  });
+  auto r = s->StateAt("square");
+  canceller.join();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(s->Nodes()[1].materialized);
+  bool attributed = false;
+  for (const OperatorSpan& span : s->Stats().spans) {
+    attributed |= span.op == "materialize-state";
+  }
+  EXPECT_TRUE(attributed);
+}
+
+TEST(SessionStateTest, StateBuildIsTraced) {
+  Engine engine(SmallDb());
+  ASSERT_OK_AND_ASSIGN(SessionPtr s, engine.CreateSession());
+  s->exec_context().set_tracing(true);
+  ASSERT_OK(s->Derive("root", "a", H("{ins(emp, {(4, 20)})}")));
+  ASSERT_OK(s->Derive("a", "b", H("{del(emp, {(1, 10)})}")));
+  ASSERT_OK(s->Query("b", Q("emp")).status());
+  std::vector<OperatorSpan> built;
+  for (const OperatorSpan& span : s->Stats().spans) {
+    if (span.op == "materialize-state") built.push_back(span);
+  }
+  ASSERT_EQ(built.size(), 2u);  // one per edge on the path
+  EXPECT_EQ(built[0].rows_in, 3u);
+  EXPECT_EQ(built[0].rows_out, 4u);
+  EXPECT_EQ(built[1].rows_out, 3u);
+  // The cached state serves the next read without building again.
+  ASSERT_OK(s->Query("b", Q("dept")).status());
+  size_t after = 0;
+  for (const OperatorSpan& span : s->Stats().spans) {
+    after += span.op == "materialize-state";
+  }
+  EXPECT_EQ(after, 2u);
+}
+
+TEST(SessionStateTest, LongConditionalChainAnswersWithinBudget) {
+  // Six conditional edges over a few-thousand-tuple base. Composing
+  // `Q when path` and planning it under the hybrid strategy grows
+  // exponentially with the number of conditionals (minutes at six); a
+  // hybrid session reads the node's state instead.
+  Schema schema = MakeSchema({{"R", 3}, {"S", 3}});
+  Database db(schema);
+  std::vector<Tuple> r, s;
+  for (int64_t i = 0; i < 3000; ++i) {
+    r.push_back(IntRow({i, (i * 7) % 3000, i % 1000}));
+    s.push_back(IntRow({i, i % 50, (i * 3) % 10000}));
+  }
+  HQL_CHECK(db.Set("R", Relation::FromTuples(3, r)).ok());
+  HQL_CHECK(db.Set("S", Relation::FromTuples(3, s)).ok());
+  Engine engine(db);
+  ASSERT_OK_AND_ASSIGN(SessionPtr hybrid, engine.CreateSession());
+  ASSERT_OK(hybrid->Set("profile", "fast"));
+  ASSERT_OK(hybrid->Set("deadline_ms", "20000"));
+  ASSERT_OK_AND_ASSIGN(SessionPtr direct, engine.CreateSession());
+  ASSERT_OK(direct->Set("strategy", "direct"));
+  std::string parent = "root";
+  for (int i = 0; i < 6; ++i) {
+    // Keys below 3000 take the then-branch, the others the else-branch.
+    const std::string a = std::to_string(i % 2 == 0 ? 100 * i + 5 : 4000 + i);
+    HypoExprPtr edge =
+        H("{if sigma[$0 = " + a + "](S) then {del(S, sigma[$0 = " + a +
+          "](S))} else {ins(S, {(" + a + ", " + std::to_string(i) +
+          ", 7)})}}");
+    const std::string child = "c" + std::to_string(i);
+    ASSERT_OK(hybrid->Derive(parent, child, edge));
+    ASSERT_OK(direct->Derive(parent, child, edge));
+    parent = child;
+  }
+  const QueryPtr q =
+      Q("gamma[4; count(0)](sigma[$0 >= 100 and $0 < 700](R) join[$1 = $3] S)");
+  ASSERT_OK_AND_ASSIGN(Relation want, direct->Query(parent, q));
+  ASSERT_OK_AND_ASSIGN(Relation got, hybrid->Query(parent, q));
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(want.empty());
+}
+
+// One random scenario-tree op stream, applied to a hybrid session under
+// the fast profile and to a direct-semantics session over the same engine;
+// every read must agree bit for bit.
+class TreeChurn {
+ public:
+  TreeChurn(Rng* rng, Engine* engine, Session* fast, Session* direct)
+      : rng_(rng), engine_(engine), fast_(fast), direct_(direct) {
+    schema_ = engine->schema();
+    gen_.max_depth = 2;
+    queries_ = {Q("A2 join[$1 = $2] B2"), Q("sigma[$0 < 4](A2) union B2"),
+                Q("gamma[0; count(1)](A2)"), Q("pi[0](A2 - B2)"),
+                RandomQuery(rng, schema_, 2, gen_),
+                RandomQuery(rng, schema_, 1, gen_)};
+  }
+
+  void Step() {
+    switch (rng_->Uniform(0, 11)) {
+      case 0:
+      case 1:
+      case 2:
+        return DeriveOne();
+      case 3:
+      case 4:
+        return EditOne();
+      case 5:
+        return DropOne();
+      case 6:
+        return RefreshBoth();
+      default:
+        return ReadOne();
+    }
+  }
+
+  uint64_t reads() const { return reads_; }
+
+ private:
+  std::string Pick(bool allow_root) {
+    std::vector<ScenarioInfo> nodes = fast_->Nodes();
+    size_t lo = allow_root || nodes.size() == 1 ? 0 : 1;
+    return nodes[static_cast<size_t>(rng_->Uniform(
+                     static_cast<int64_t>(lo),
+                     static_cast<int64_t>(nodes.size()) - 1))]
+        .name;
+  }
+
+  // Small edges keep relations as overlays on the base, where the
+  // incremental cache patches; random states cover everything else.
+  HypoExprPtr Edge() {
+    const std::string x = std::to_string(rng_->Uniform(0, 7));
+    const std::string y = std::to_string(rng_->Uniform(0, 7));
+    switch (rng_->Uniform(0, 4)) {
+      case 0:
+        return H("{ins(A2, {(" + x + ", " + y + ")})}");
+      case 1:
+        return H("{del(A2, sigma[$0 = " + x + " and $1 = " + y + "](A2))}");
+      case 2:
+        return H("{if sigma[$0 = " + x + "](B2) then {del(B2, sigma[$1 = " +
+                 y + "](B2))} else {ins(B2, {(" + x + ", " + y + ")})}}");
+      case 3:
+        return H("{ins(A2, {(" + x + ", " + y + ")}); del(B2, sigma[$0 = " +
+                 y + "](B2))}");
+      default:
+        return RandomHypo(rng_, schema_, gen_);
+    }
+  }
+
+  void DeriveOne() {
+    const std::string parent = Pick(true);
+    // Names come from a small pool, so dropped names are derived again.
+    const std::string child = "n" + std::to_string(rng_->Uniform(0, 7));
+    HypoExprPtr edge = Edge();
+    Status a = fast_->Derive(parent, child, edge);
+    Status b = direct_->Derive(parent, child, edge);
+    ASSERT_EQ(a.code(), b.code()) << a.ToString() << " / " << b.ToString();
+  }
+
+  void EditOne() {
+    const std::string node = Pick(false);
+    if (node == "root") return;
+    HypoExprPtr edge = Edge();
+    ASSERT_OK(fast_->Edit(node, edge));
+    ASSERT_OK(direct_->Edit(node, edge));
+    ReadAt(node);  // the first read after an edit
+  }
+
+  void DropOne() {
+    const std::string node = Pick(false);
+    if (node == "root") return;
+    ASSERT_OK(fast_->Drop(node));
+    ASSERT_OK(direct_->Drop(node));
+    ASSERT_EQ(fast_->NumNodes(), direct_->NumNodes());
+  }
+
+  void RefreshBoth() {
+    const std::string x = std::to_string(rng_->Uniform(0, 7));
+    ASSERT_OK_AND_ASSIGN(UpdatePtr commit,
+                         ParseUpdate("ins(B2, {(" + x + ", " + x + ")})"));
+    ASSERT_OK(engine_->Apply(commit));
+    ASSERT_OK(fast_->Refresh());
+    ASSERT_OK(direct_->Refresh());
+    ReadAt(Pick(true));  // the first read after a refresh
+  }
+
+  void ReadOne() { ReadAt(Pick(true)); }
+
+  void ReadAt(const std::string& node) {
+    const QueryPtr& q = queries_[static_cast<size_t>(
+        rng_->Uniform(0, static_cast<int64_t>(queries_.size()) - 1))];
+    SCOPED_TRACE(node + ": " + q->ToString());
+    ++reads_;
+    Result<Relation> want = direct_->Query(node, q);
+    Result<Relation> got = fast_->Query(node, q);
+    ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+    if (want.ok()) ASSERT_EQ(got.value(), want.value());
+
+    const std::string other = Pick(true);
+    Result<Relation> want_diff = direct_->Compare(node, other, q);
+    Result<Relation> got_diff = fast_->Compare(node, other, q);
+    ASSERT_EQ(got_diff.ok(), want_diff.ok()) << other;
+    if (want_diff.ok()) ASSERT_EQ(got_diff.value(), want_diff.value()) << other;
+
+    Result<AnalyzeReport> report = fast_->Analyze(node, q);
+    ASSERT_EQ(report.ok(), want.ok());
+    if (want.ok()) EXPECT_EQ(report->actual_rows, want->size());
+  }
+
+  Rng* rng_;
+  Engine* engine_;
+  Session* fast_;
+  Session* direct_;
+  Schema schema_;
+  AstGenOptions gen_;
+  std::vector<QueryPtr> queries_;
+  uint64_t reads_ = 0;
+};
+
+TEST(SessionStateTest, FastHybridReadsMatchDirectUnderTreeChurn) {
+  Rng rng(20261017);
+  ExecStats fast_stats;
+  uint64_t reads = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Engine engine(RandomDatabase(&rng, PropertySchema(), 48, 8));
+    ASSERT_OK_AND_ASSIGN(SessionPtr fast, engine.CreateSession("fast"));
+    ASSERT_OK(fast->Set("profile", "fast"));
+    // Low thresholds so the index, columnar and incremental paths all run
+    // on the small relations.
+    ASSERT_OK(fast->Set("index_min_rows", "4"));
+    ASSERT_OK(fast->Set("columnar_min_rows", "8"));
+    ASSERT_OK(fast->Set("columnar_threads", "1"));
+    ASSERT_OK(fast->Set("edit_fraction", "1"));
+    ASSERT_OK_AND_ASSIGN(SessionPtr direct, engine.CreateSession("direct"));
+    ASSERT_OK(direct->Set("strategy", "direct"));
+    TreeChurn churn(&rng, &engine, fast.get(), direct.get());
+    for (int step = 0; step < 60; ++step) {
+      ASSERT_NO_FATAL_FAILURE(churn.Step()) << "step " << step;
+    }
+    reads += churn.reads();
+    fast_stats.MergeFrom(fast->Stats());
+  }
+  EXPECT_GT(reads, 200u);
+  // Every accelerator the fast profile turns on actually served reads.
+  EXPECT_GT(fast_stats.memo_hits, 0u);
+  EXPECT_GT(fast_stats.index_probes, 0u);
+  EXPECT_GT(fast_stats.columnar_rows_vectorized, 0u);
+  EXPECT_GT(fast_stats.incremental_results_patched, 0u);
 }
 
 }  // namespace

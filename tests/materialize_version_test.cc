@@ -12,6 +12,7 @@
 #include "hql/collapse.h"
 #include "hql/enf.h"
 #include "opt/planner.h"
+#include "parser/parser.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 #include "workload/version_tree.h"
@@ -36,6 +37,40 @@ TEST(MaterializeTest, XsubMatchesDirectState) {
     ASSERT_OK_AND_ASSIGN(Database via_state, EvalState(eta, db));
     EXPECT_EQ(via_xsub, via_state) << eta->ToString();
   }
+}
+
+TEST(MaterializeTest, StateMatchesDirectStateUnderEveryKernel) {
+  // The scenario-node state builder agrees with EvalState whichever
+  // kernels its update arguments run on, and keeps relations a small
+  // update leaves over the parent's base as overlays on that base.
+  Rng rng(1117);
+  Schema schema = PropertySchema();
+  AstGenOptions options;
+  options.max_depth = 3;
+  PhysicalPolicy kernels;
+  kernels.index_mode = IndexMode::kManual;
+  kernels.index_min_rows = 1;
+  kernels.columnar_mode = ColumnarMode::kAuto;
+  kernels.columnar_min_rows = 1;
+  kernels.columnar_threads = 1;
+  for (int trial = 0; trial < 150; ++trial) {
+    Database db = RandomDatabase(&rng, schema, 12, 8);
+    ASSERT_OK(db.BuildIndex("A2", {0}).status());
+    HypoExprPtr eta = RandomHypo(&rng, schema, options);
+    ASSERT_OK_AND_ASSIGN(Database want, EvalState(eta, db));
+    for (const PhysicalPolicy& policy : {PhysicalPolicy(), kernels}) {
+      ASSERT_OK_AND_ASSIGN(Database got, MaterializeState(eta, db, policy));
+      EXPECT_EQ(got, want) << eta->ToString();
+    }
+  }
+
+  Database db = RandomDatabase(&rng, schema, 200, 64);
+  ASSERT_OK_AND_ASSIGN(
+      HypoExprPtr edge,
+      ParseHypo("{ins(A2, {(100, 1)}); del(A2, sigma[$0 = 0](A2))}"));
+  ASSERT_OK_AND_ASSIGN(Database got, MaterializeState(edge, db, kernels));
+  EXPECT_EQ(got.ViewRef("A2").base(), db.ViewRef("A2").base());
+  EXPECT_EQ(got.ViewRef("B2").base(), db.ViewRef("B2").base());
 }
 
 TEST(MaterializeTest, DeltaCapturesXsub) {
