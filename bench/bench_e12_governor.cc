@@ -42,8 +42,8 @@
 #include "common/failpoint.h"
 #include "common/governor.h"
 #include "eval/memo.h"
+#include "opt/alternatives.h"
 #include "opt/planner.h"
-#include "opt/session.h"
 #include "workload/version_tree.h"
 
 namespace hql {

@@ -27,8 +27,8 @@
 #include "ast/builders.h"
 #include "bench/bench_util.h"
 #include "eval/memo.h"
+#include "opt/alternatives.h"
 #include "opt/planner.h"
-#include "opt/session.h"
 #include "workload/version_tree.h"
 
 namespace hql {

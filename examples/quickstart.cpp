@@ -4,8 +4,8 @@
 //
 // Covers: declaring a schema, loading a database state, writing queries
 // (both with the C++ DSL and the textual parser), hypothetical queries with
-// `when`, the substitution machinery (slice / reduce), and the evaluation
-// strategy spectrum.
+// `when`, the substitution machinery (slice / reduce), the evaluation
+// strategy spectrum, and a what-if session over the Engine/Session facade.
 
 #include <cstdio>
 #include <string>
@@ -16,6 +16,7 @@
 #include "eval/direct.h"
 #include "hql/reduce.h"
 #include "hql/subst.h"
+#include "opt/engine.h"
 #include "opt/planner.h"
 #include "parser/parser.h"
 #include "storage/database.h"
@@ -106,6 +107,23 @@ int main() {
     Relation out = Unwrap(Execute(whatif, db, schema, s));
     std::printf("  %-8s -> %s\n", StrategyName(s), out.ToString().c_str());
   }
-  std::printf("\nAll strategies agree. Done.\n");
+  std::printf("\nAll strategies agree.\n\n");
+
+  // -------------------------------------------------------------------
+  // 7. A what-if session: derive a named scenario once. Its state is built
+  //    on first use, copy-on-write over the base, and every later query
+  //    there runs against it.
+  // -------------------------------------------------------------------
+  Engine engine(db);
+  SessionPtr session = engine.CreateSession().value();
+  HQL_CHECK(session->Derive("root", "raise",
+                            ParseHypo("{del(dept, {(10, 500)}); "
+                                      "ins(dept, {(10, 700)})}").value())
+                .ok());
+  Relation fast = session->Query("raise", ParseQuery("sigma[$1 >= 600](dept)")
+                                              .value()).value();
+  std::printf("Session scenario 'raise': rich departments = %s\n",
+              fast.ToString().c_str());
+  std::printf("Done.\n");
   return 0;
 }

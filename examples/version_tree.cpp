@@ -13,16 +13,10 @@
 #include "ast/builders.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "eval/direct.h"
-#include "eval/filter1.h"
-#include "eval/ra_eval.h"
-#include "eval/xsub.h"
-#include "eval/materialize.h"
 #include "eval/memo.h"
-#include "hql/reduce.h"
-#include "hql/subst.h"
+#include "opt/alternatives.h"
+#include "opt/engine.h"
 #include "opt/planner.h"
-#include "opt/session.h"
 #include "workload/generators.h"
 #include "workload/version_tree.h"
 
@@ -56,18 +50,18 @@ int main() {
   //     +------+------+
   //     | hire temps  | move oncall to shifts
   //    v2a           v2b
+  HypoExprPtr freeze_weekends =
+      Upd(Del("shifts", Sel(Ge(Col(1), Int(5)), Rel("shifts"))));
+  HypoExprPtr promote_oncall = Upd(
+      Seq(Ins("shifts", Rel("oncall")), Del("oncall", Rel("oncall"))));
   VersionTree tree;
-  auto v1 = tree.AddChild(
-      VersionTree::kRoot, "v1: freeze weekends",
-      Upd(Del("shifts", Sel(Ge(Col(1), Int(5)), Rel("shifts")))));
+  auto v1 = tree.AddChild(VersionTree::kRoot, "v1: freeze weekends",
+                          freeze_weekends);
   auto v2a = tree.AddChild(
       v1, "v2a: hire temps",
       Upd(Ins("shifts", Proj({0, 1}, X(Proj({0}, Rel("oncall")),
                                        Single({Value::Int(2)}))))));
-  auto v2b = tree.AddChild(
-      v1, "v2b: promote oncall",
-      Upd(Seq(Ins("shifts", Rel("oncall")),
-              Del("oncall", Rel("oncall")))));
+  auto v2b = tree.AddChild(v1, "v2b: promote oncall", promote_oncall);
 
   // Coverage on day 6 (a weekend day): workers with a shift that day.
   QueryPtr weekend_coverage =
@@ -88,17 +82,18 @@ int main() {
   std::printf("\nWorkers covering weekends only under v2b: %zu\n",
               diff.size());
 
-  // Family-of-queries optimization (Example 2.2): materialize v2b's state
-  // once and filter many per-day queries through it.
-  XsubValue env = Unwrap(MaterializeXsub(tree.PathState(v2b), db, schema));
-  std::printf("\nPer-day coverage at v2b (one materialized xsub-value, %llu "
-              "tuples):\n",
-              static_cast<unsigned long long>(env.TotalTuples()));
-  Filter1Options options;
-  options.env = &env;
+  // Family-of-queries optimization (Example 2.2): derive v2b as a session
+  // scenario along its root path. The first query there builds v2b's
+  // copy-on-write state once; every later per-day query runs against it.
+  Engine engine(db);
+  SessionPtr session = Unwrap(engine.CreateSession());
+  HQL_CHECK(session->Derive("root", "v1", freeze_weekends).ok());
+  HQL_CHECK(session->Derive("v1", "v2b", promote_oncall).ok());
+  std::printf("\nPer-day coverage at v2b (one session scenario, state built "
+              "once):\n");
   for (int day = 0; day < 7; ++day) {
     QueryPtr per_day = Proj({0}, Sel(Eq(Col(1), Int(day)), Rel("shifts")));
-    Relation out = Unwrap(RunFilter1(per_day, db, options));
+    Relation out = Unwrap(session->Query("v2b", per_day));
     std::printf("  day %d: %zu workers\n", day, out.size());
   }
 

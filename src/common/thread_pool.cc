@@ -1,14 +1,12 @@
 #include "common/thread_pool.h"
 
-#include <exception>
 #include <utility>
 
 #include "common/failpoint.h"
 
 namespace hql {
 
-ThreadPool::ThreadPool(size_t num_threads)
-    : batch_cancel_(std::make_shared<CancelToken>()) {
+ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
@@ -26,13 +24,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  Submit(std::function<Status()>([task = std::move(task)]() -> Status {
-    task();
-    return Status::OK();
-  }));
-}
-
-void ThreadPool::Submit(std::function<Status()> task) {
   HQL_FAIL_POINT(kFailPointTaskEnqueue);
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -47,41 +38,14 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-Status ThreadPool::WaitAll() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  return batch_error_;
-}
-
-void ThreadPool::ResetBatch() {
-  std::unique_lock<std::mutex> lock(mu_);
-  batch_error_ = Status::OK();
-  batch_cancel_ = std::make_shared<CancelToken>();
-}
-
 size_t ThreadPool::DefaultThreads() {
   unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<size_t>(n);
 }
 
-void ThreadPool::RecordError(Status status) {
-  CancelTokenPtr to_cancel;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (batch_error_.ok()) {
-      batch_error_ = std::move(status);
-      to_cancel = batch_cancel_;
-    }
-  }
-  // Cancel outside the lock; siblings observe the token cooperatively and
-  // still-queued tasks of this batch are drained unrun in WorkerLoop.
-  if (to_cancel != nullptr) to_cancel->Cancel();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<Status()> task;
-    bool drained = false;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_available_.wait(lock,
@@ -89,18 +53,13 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // stopping_ and nothing left to drain
       task = std::move(queue_.front());
       queue_.pop_front();
-      drained = !batch_error_.ok();
     }
-    if (!drained) {
-      Status result;
-      try {
-        result = task();
-      } catch (const std::exception& e) {
-        result = Status::Internal(std::string("task threw: ") + e.what());
-      } catch (...) {
-        result = Status::Internal("task threw a non-std exception");
-      }
-      if (!result.ok()) RecordError(std::move(result));
+    try {
+      task();
+    } catch (...) {
+      // A throwing task must not kill the worker or strand Wait(). Its
+      // submitter sees the failure in the state the task closes over (a
+      // result slot left unfilled).
     }
     {
       std::unique_lock<std::mutex> lock(mu_);

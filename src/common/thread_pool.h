@@ -2,25 +2,19 @@
 #define HQL_COMMON_THREAD_POOL_H_
 
 // A small fixed-size thread pool for fanning independent evaluation work
-// (one hypothetical alternative per task, see opt/session.h) across cores.
-// Tasks are plain std::function<void()> or fallible std::function<Status()>;
-// results travel through whatever state the task closes over. The pool is
-// deliberately minimal: FIFO queue, no work stealing, no priorities —
-// alternative evaluation produces a handful of coarse tasks, not millions
-// of fine ones.
+// across cores: one hypothetical alternative per task (opt/alternatives.h)
+// or one columnar morsel per task (eval/vector_exec.cc). Tasks are plain
+// std::function<void()>; results and errors travel through whatever state
+// the task closes over. The pool is deliberately minimal: FIFO queue, no
+// work stealing, no priorities — these callers produce a handful of coarse
+// tasks, not millions of fine ones.
 //
-// Failure semantics: a task that returns a failed Status — or throws, which
-// is caught and converted to kInternal — never takes down the pool or
-// deadlocks joiners. The first error of the current batch is captured, the
-// batch's CancelToken is cancelled (running tasks observe it through their
-// governors), and the remaining queued tasks of the batch are drained
-// without being run. WaitAll() returns the captured error; ResetBatch()
-// rearms the pool for the next batch.
+// A task that throws is caught and dropped: it never takes down a worker
+// or deadlocks Wait() or the destructor, and later tasks run normally.
 //
 //   ThreadPool pool(4);
-//   for (auto& item : items)
-//     pool.Submit([&item]() -> Status { return Process(&item); });
-//   Status st = pool.WaitAll();  // first failure, or OK
+//   for (auto& item : items) pool.Submit([&item] { Process(&item); });
+//   pool.Wait();
 
 #include <condition_variable>
 #include <cstddef>
@@ -29,9 +23,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/governor.h"
-#include "common/status.h"
 
 namespace hql {
 
@@ -48,31 +39,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues `task` for execution on some worker. Thread-safe; may be
-  /// called from inside a task. A thrown exception is caught and recorded
-  /// as the batch error (kInternal) instead of terminating the process.
+  /// called from inside a task.
   void Submit(std::function<void()> task);
 
-  /// Enqueues a fallible task: a non-OK return (or a thrown exception)
-  /// records the batch's first error and cancels the batch token, after
-  /// which still-queued tasks are drained unrun.
-  void Submit(std::function<Status()> task);
-
-  /// Blocks until every task submitted so far has finished or was drained.
-  /// Does not stop the pool; more work may be submitted afterwards.
+  /// Blocks until every task submitted so far has finished. Does not stop
+  /// the pool; more work may be submitted afterwards.
   void Wait();
-
-  /// Wait() plus the first error captured in the current batch (OK if all
-  /// tasks succeeded).
-  Status WaitAll();
-
-  /// The current batch's cancellation token: cancelled on the first task
-  /// failure so sibling tasks can stop cooperatively (thread their
-  /// ExecGovernor with it). Stable until ResetBatch().
-  const CancelTokenPtr& cancel_token() const { return batch_cancel_; }
-
-  /// Clears the captured batch error and installs a fresh CancelToken.
-  /// Call between batches when reusing one pool.
-  void ResetBatch();
 
   size_t num_threads() const { return workers_.size(); }
 
@@ -81,16 +53,13 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
-  void RecordError(Status status);  // requires a non-OK status
 
   std::mutex mu_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
-  std::deque<std::function<Status()>> queue_;
+  std::deque<std::function<void()>> queue_;
   size_t in_flight_ = 0;  // queued + currently executing
   bool stopping_ = false;
-  Status batch_error_;           // first failure of the current batch
-  CancelTokenPtr batch_cancel_;  // cancelled on first failure
   std::vector<std::thread> workers_;
 };
 

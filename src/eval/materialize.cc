@@ -1,6 +1,5 @@
 #include "eval/materialize.h"
 
-#include <memory>
 #include <utility>
 
 #include "ast/hypo.h"
@@ -8,59 +7,12 @@
 #include "ast/query.h"
 #include "ast/update.h"
 #include "common/governor.h"
-#include "common/strings.h"
 #include "eval/direct.h"
 #include "eval/ra_eval.h"
-#include "hql/free_dom.h"
 
 namespace hql {
 
 namespace {
-
-// Tag separating state-materialization entries from query-subplan entries
-// in a shared MemoCache.
-constexpr uint64_t kStateEntryTag = 0x1BD11BDAA9FC1A22ULL;
-
-uint64_t StateEntryKey(uint64_t state_hash, uint64_t db_fingerprint,
-                       const std::string& name) {
-  return MemoKey(HashCombine(HashCombine(kStateEntryTag, state_hash),
-                             HashString(name)),
-                 db_fingerprint);
-}
-
-// Evaluates one non-compose state against `db`, serving the written
-// relations from `memo` when the same (state, database-content) pair was
-// evaluated before. Updates only write names in dom(state), so a database
-// copy with the cached dom relations re-bound reconstructs the full result.
-Result<Database> EvalAtomicStateMemo(const HypoExprPtr& state,
-                                     const Database& db, MemoCache* memo) {
-  const NameSet dom = DomNames(state);
-  const uint64_t state_hash = state->Hash();
-  const uint64_t db_fp = FingerprintState(db);
-
-  Database out = db;
-  bool all_cached = !dom.empty();
-  for (const std::string& name : dom) {
-    std::shared_ptr<const Relation> hit =
-        memo->Lookup(StateEntryKey(state_hash, db_fp, name));
-    if (hit == nullptr) {
-      all_cached = false;
-      break;
-    }
-    // A hit re-binds the cached relation by reference — no tuple copies.
-    HQL_RETURN_IF_ERROR(out.SetShared(name, std::move(hit)));
-  }
-  if (all_cached) return out;
-
-  HQL_ASSIGN_OR_RETURN(Database moved, EvalState(state, db));
-  for (const std::string& name : dom) {
-    // Shared() consolidates an overlay once into the view's flat cache (the
-    // memo stores flat relations); the cache entry and `moved` share it.
-    HQL_ASSIGN_OR_RETURN(RelationView value, moved.GetView(name));
-    memo->Insert(StateEntryKey(state_hash, db_fp, name), value.Shared());
-  }
-  return moved;
-}
 
 // An update argument or guard: pure RA streams over the views through the
 // policy's kernels; anything else takes the reference evaluator.
@@ -125,64 +77,6 @@ Result<Database> MaterializeState(const HypoExprPtr& state, const Database& db,
       return EvalState(state, db);
   }
   return Status::Internal("unknown hypothetical-state kind in MaterializeState");
-}
-
-Result<Database> EvalStateMemo(const HypoExprPtr& state, const Database& db,
-                               MemoCache* memo) {
-  HQL_RETURN_IF_ERROR(GovernorCheck());
-  if (memo == nullptr) return EvalState(state, db);
-  if (state->kind() == HypoKind::kCompose) {
-    HQL_ASSIGN_OR_RETURN(Database mid,
-                         EvalStateMemo(state->first(), db, memo));
-    return EvalStateMemo(state->second(), mid, memo);
-  }
-  return EvalAtomicStateMemo(state, db, memo);
-}
-
-Result<XsubValue> MaterializeXsub(const HypoExprPtr& state,
-                                  const Database& db, const Schema& schema,
-                                  MemoCache* memo) {
-  (void)schema;  // names are validated by evaluation itself
-  HQL_ASSIGN_OR_RETURN(Database moved, EvalStateMemo(state, db, memo));
-  XsubValue out;
-  for (const std::string& name : DomNames(state)) {
-    // Flat results bind by refcount bump; overlays consolidate once into
-    // the view's shared flat cache.
-    HQL_ASSIGN_OR_RETURN(RelationView value, moved.GetView(name));
-    out.Bind(name, value.Shared());
-  }
-  return out;
-}
-
-Result<DeltaValue> MaterializeDelta(const HypoExprPtr& state,
-                                    const Database& db,
-                                    const Schema& schema,
-                                    MemoCache* memo) {
-  (void)schema;
-  HQL_ASSIGN_OR_RETURN(Database moved, EvalStateMemo(state, db, memo));
-  DeltaValue out;
-  for (const std::string& name : DomNames(state)) {
-    HQL_ASSIGN_OR_RETURN(RelationView after, moved.GetView(name));
-    HQL_ASSIGN_OR_RETURN(RelationView before, db.GetView(name));
-    if (before.is_flat() && after.base() == before.base()) {
-      // The written relation is an overlay on the unchanged base, so its
-      // canonical add/del vectors *are* the paper's precise deltas
-      // R_D = DB(R) − V and R_I = V − DB(R) — extracted in O(|edge delta|)
-      // without touching the base (even when the overlay is empty: the
-      // state wrote the relation back unchanged).
-      out.Bind(name,
-               DeltaPair(Relation::FromSortedUnique(after.arity(),
-                                                    after.dels()),
-                         Relation::FromSortedUnique(after.arity(),
-                                                    after.adds())));
-    } else {
-      // Representations diverged (consolidation, memo hit, substitution):
-      // fall back to a streaming two-sided difference.
-      out.Bind(name, DeltaPair(ViewDifference(before, after),
-                               ViewDifference(after, before)));
-    }
-  }
-  return out;
 }
 
 }  // namespace hql

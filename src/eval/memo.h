@@ -15,7 +15,7 @@
 // changes the state fingerprint, so stale results are unreachable rather
 // than invalidated — the stale entries simply age out of the LRU.
 //
-// The cache is shared across worker threads (opt/session.h's
+// The cache is shared across worker threads (opt/alternatives.h's
 // EvalAlternatives); all operations take one short critical section.
 
 #include <cstdint>

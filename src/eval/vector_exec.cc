@@ -250,7 +250,7 @@ bool RowPasses(const ColumnBatch& batch, const VectorConjunct& c, size_t row) {
 // ---------------------------------------------------------------------------
 
 // A dedicated pool for morsel tasks, separate from the alternatives pool
-// (opt/session.h): columnar kernels run *inside* tasks of that pool, and
+// (opt/alternatives.h): columnar kernels run *inside* tasks of that pool, and
 // submitting nested work to it could fill every worker with parents
 // waiting on children. The calling thread always participates in its own
 // parallel-for, so progress never depends on this pool's availability.
@@ -296,7 +296,7 @@ void MorselParallelFor(size_t num_morsels, size_t threads,
   run->body = std::move(body);
   const size_t helpers = std::min(threads - 1, num_morsels - 1);
   for (size_t i = 0; i < helpers; ++i) {
-    MorselPool().Submit(std::function<void()>([run] { DrainMorsels(run); }));
+    MorselPool().Submit([run] { DrainMorsels(run); });
   }
   DrainMorsels(run);
   std::unique_lock<std::mutex> lock(run->mu);

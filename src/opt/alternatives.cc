@@ -1,71 +1,14 @@
-#include "opt/session.h"
+#include "opt/alternatives.h"
 
+#include <memory>
 #include <optional>
 #include <utility>
 
 #include "ast/hypo.h"
 #include "ast/query.h"
 #include "common/thread_pool.h"
-#include "eval/filter1.h"
-#include "eval/filter3.h"
-#include "eval/materialize.h"
-#include "hql/collapse.h"
-#include "hql/enf.h"
-#include "hql/free_dom.h"
 
 namespace hql {
-
-Result<HypotheticalSession> HypotheticalSession::Create(
-    const HypoExprPtr& state, const Database& db, const Schema& schema,
-    const PlannerOptions& options) {
-  if (state == nullptr) {
-    return Status::InvalidArgument("null hypothetical state");
-  }
-  HypotheticalSession session(db, schema);
-  session.policy_ = options.physical();
-
-  // Materialize the precise delta first; it is enough to decide the
-  // representation (the xsub is recoverable from base + delta when the
-  // decision goes the other way).
-  HQL_ASSIGN_OR_RETURN(DeltaValue delta,
-                       MaterializeDelta(state, db, schema, options.memo));
-  double affected_base = 0;
-  for (const auto& [name, pair] : delta.pairs()) {
-    (void)pair;
-    HQL_ASSIGN_OR_RETURN(RelationView base, db.GetView(name));
-    affected_base += static_cast<double>(base.size());
-  }
-  double change = static_cast<double>(delta.TotalTuples());
-  if (options.delta_fraction_threshold > 0 && affected_base > 0 &&
-      change < options.delta_fraction_threshold * affected_base) {
-    session.uses_delta_ = true;
-    session.delta_ = std::move(delta);
-    return session;
-  }
-  HQL_ASSIGN_OR_RETURN(session.xsub_,
-                       MaterializeXsub(state, db, schema, options.memo));
-  return session;
-}
-
-Result<Relation> HypotheticalSession::Evaluate(const QueryPtr& query) const {
-  if (query == nullptr) return Status::InvalidArgument("null query");
-  HQL_ASSIGN_OR_RETURN(QueryPtr enf, ToEnf(query, *schema_));
-  if (uses_delta_) {
-    HQL_ASSIGN_OR_RETURN(CollapsedPtr tree, Collapse(enf, *schema_));
-    Filter3Options options;
-    options.collapsed = tree;
-    options.env = &delta_;
-    options.policy = policy_;
-    return RunFilter3(nullptr, *db_, db_->schema(), options);
-  }
-  Filter1Options options;
-  options.env = &xsub_;
-  return RunFilter1(enf, *db_, options);
-}
-
-uint64_t HypotheticalSession::materialized_tuples() const {
-  return uses_delta_ ? delta_.TotalTuples() : xsub_.TotalTuples();
-}
 
 namespace {
 

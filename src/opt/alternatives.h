@@ -1,67 +1,21 @@
-#ifndef HQL_OPT_SESSION_H_
-#define HQL_OPT_SESSION_H_
+#ifndef HQL_OPT_ALTERNATIVES_H_
+#define HQL_OPT_ALTERNATIVES_H_
 
-// A hypothetical session: the "many queries against a single hypothetical
-// state" pattern of Examples 2.1/2.2 as a first-class object. Creating a
-// session materializes the state once — as a delta value when the change
-// is a small fraction of the data (the Section 5.5 regime), as an
-// xsub-value otherwise — and every Evaluate() call filters one query
-// through that materialization. Nothing ever touches the underlying
-// database state.
-//
-//   HypotheticalSession session = *HypotheticalSession::Create(
-//       ParseHypo("{ins(R, sigma[$0 > 30](S))}").value(), db, schema);
-//   Relation a = *session.Evaluate(ParseQuery("sigma[$0 = 1](R)").value());
-//   Relation b = *session.Evaluate(ParseQuery("R join[$0 = $2] S").value());
-//
-// The session holds references to `db` and `schema`; both must outlive it.
+// The family of alternatives (Example 2.1): one query evaluated under
+// many sibling hypothetical states, fanned out across a thread pool with a
+// shared subplan cache, each alternative governed and observed on its own.
 
-#include <memory>
 #include <vector>
 
 #include "ast/forward.h"
 #include "common/exec_context.h"
 #include "common/result.h"
-#include "eval/delta.h"
-#include "eval/xsub.h"
 #include "opt/planner.h"
 #include "storage/database.h"
+#include "storage/relation.h"
 #include "storage/schema.h"
 
 namespace hql {
-
-class HypotheticalSession {
- public:
-  /// Materializes `state` over `db`. The representation (delta vs xsub) is
-  /// chosen by comparing the materialized change against
-  /// options.delta_fraction_threshold of the affected base relations.
-  static Result<HypotheticalSession> Create(
-      const HypoExprPtr& state, const Database& db, const Schema& schema,
-      const PlannerOptions& options = PlannerOptions());
-
-  /// The value `query` would have in the hypothetical state. `query` may
-  /// itself contain further `when`s (nested what-ifs on top of the
-  /// session's state).
-  Result<Relation> Evaluate(const QueryPtr& query) const;
-
-  /// True if the session holds a delta representation (Algorithm HQL-3
-  /// route); false for a full xsub-value.
-  bool uses_delta() const { return uses_delta_; }
-
-  /// Materialized tuples held by the session (cost accounting).
-  uint64_t materialized_tuples() const;
-
- private:
-  HypotheticalSession(const Database& db, const Schema& schema)
-      : db_(&db), schema_(&schema) {}
-
-  const Database* db_;
-  const Schema* schema_;
-  bool uses_delta_ = false;
-  PhysicalPolicy policy_;
-  DeltaValue delta_;
-  XsubValue xsub_;
-};
 
 /// Options for EvalAlternatives.
 struct AlternativesOptions {
@@ -136,4 +90,4 @@ Result<std::vector<Relation>> EvalAlternatives(
 
 }  // namespace hql
 
-#endif  // HQL_OPT_SESSION_H_
+#endif  // HQL_OPT_ALTERNATIVES_H_

@@ -1,4 +1,4 @@
-#include "opt/session.h"
+#include "opt/alternatives.h"
 
 #include <gtest/gtest.h>
 

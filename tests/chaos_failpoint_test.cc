@@ -23,8 +23,8 @@
 #include "common/rng.h"
 #include "eval/direct.h"
 #include "eval/memo.h"
+#include "opt/alternatives.h"
 #include "opt/planner.h"
-#include "opt/session.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 

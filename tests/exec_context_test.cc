@@ -14,8 +14,8 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "opt/alternatives.h"
 #include "opt/explain.h"
-#include "opt/session.h"
 #include "storage/view.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"

@@ -15,8 +15,8 @@
 #include "common/exec_context.h"
 #include "common/governor.h"
 #include "common/rng.h"
+#include "opt/alternatives.h"
 #include "opt/planner.h"
-#include "opt/session.h"
 #include "storage/index.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"

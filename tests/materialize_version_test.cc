@@ -1,16 +1,20 @@
-// Tests for the reuse-oriented APIs: MaterializeXsub / MaterializeDelta
-// (Examples 2.2(a)/(b)) and the VersionTree workload (Example 2.1).
+// Tests for materialized hypothetical states reused across query families
+// (Examples 2.2(a)/(b): MaterializeState, and xsub/delta environments built
+// from EvalState) and the VersionTree workload (Example 2.1).
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "ast/builders.h"
 #include "common/rng.h"
+#include "eval/delta.h"
 #include "eval/direct.h"
 #include "eval/filter1.h"
-#include "eval/filter3.h"
 #include "eval/materialize.h"
-#include "hql/collapse.h"
-#include "hql/enf.h"
+#include "eval/xsub.h"
+#include "hql/free_dom.h"
 #include "opt/planner.h"
 #include "parser/parser.h"
 #include "tests/test_util.h"
@@ -24,19 +28,30 @@ using namespace hql::dsl;  // NOLINT
 using ::hql::testing::Ints;
 using ::hql::testing::MakeSchema;
 
-TEST(MaterializeTest, XsubMatchesDirectState) {
-  Rng rng(1103);
-  Schema schema = PropertySchema();
-  AstGenOptions options;
-  options.max_depth = 3;
-  for (int trial = 0; trial < 150; ++trial) {
-    Database db = RandomDatabase(&rng, schema, 6, 8);
-    HypoExprPtr eta = RandomHypo(&rng, schema, options);
-    ASSERT_OK_AND_ASSIGN(XsubValue xsub, MaterializeXsub(eta, db, schema));
-    ASSERT_OK_AND_ASSIGN(Database via_xsub, xsub.ApplyTo(db));
-    ASSERT_OK_AND_ASSIGN(Database via_state, EvalState(eta, db));
-    EXPECT_EQ(via_xsub, via_state) << eta->ToString();
+// [eta]xval(DB): one relation value per name in dom(eta), read off the
+// reference state.
+Result<XsubValue> XsubOf(const HypoExprPtr& eta, const Database& db) {
+  HQL_ASSIGN_OR_RETURN(Database moved, EvalState(eta, db));
+  XsubValue out;
+  for (const std::string& name : DomNames(eta)) {
+    HQL_ASSIGN_OR_RETURN(Relation value, moved.Get(name));
+    out.Bind(name, std::move(value));
   }
+  return out;
+}
+
+// The precise delta (Section 5.5) capturing [eta] in DB:
+// R_D = DB(R) - V and R_I = V - DB(R) for each written name R.
+Result<DeltaValue> PreciseDeltaOf(const HypoExprPtr& eta, const Database& db) {
+  HQL_ASSIGN_OR_RETURN(Database moved, EvalState(eta, db));
+  DeltaValue out;
+  for (const std::string& name : DomNames(eta)) {
+    HQL_ASSIGN_OR_RETURN(Relation before, db.Get(name));
+    HQL_ASSIGN_OR_RETURN(Relation after, moved.Get(name));
+    out.Bind(name, DeltaPair(before.DifferenceWith(after),
+                             after.DifferenceWith(before)));
+  }
+  return out;
 }
 
 TEST(MaterializeTest, StateMatchesDirectStateUnderEveryKernel) {
@@ -73,31 +88,6 @@ TEST(MaterializeTest, StateMatchesDirectStateUnderEveryKernel) {
   EXPECT_EQ(got.ViewRef("B2").base(), db.ViewRef("B2").base());
 }
 
-TEST(MaterializeTest, DeltaCapturesXsub) {
-  // apply(DB, delta) == apply(DB, xsub): the "captures" property of
-  // Section 5.5 for the precise construction.
-  Rng rng(1109);
-  Schema schema = PropertySchema();
-  AstGenOptions options;
-  options.max_depth = 3;
-  for (int trial = 0; trial < 150; ++trial) {
-    Database db = RandomDatabase(&rng, schema, 6, 8);
-    HypoExprPtr eta = RandomHypo(&rng, schema, options);
-    ASSERT_OK_AND_ASSIGN(XsubValue xsub, MaterializeXsub(eta, db, schema));
-    ASSERT_OK_AND_ASSIGN(DeltaValue delta,
-                         MaterializeDelta(eta, db, schema));
-    ASSERT_OK_AND_ASSIGN(Database via_xsub, xsub.ApplyTo(db));
-    ASSERT_OK_AND_ASSIGN(Database via_delta, delta.ApplyTo(db));
-    EXPECT_EQ(via_xsub, via_delta) << eta->ToString();
-    // The precise delta never stores a tuple on both sides for no reason:
-    // its total size is bounded by xsub size + affected base sizes.
-    for (const auto& [name, pair] : delta.pairs()) {
-      ASSERT_OK_AND_ASSIGN(Relation base, db.Get(name));
-      EXPECT_LE(pair.del.size(), base.size());
-    }
-  }
-}
-
 TEST(MaterializeTest, SmashCapturesComposition) {
   // The Section 5.5 lemma: if Delta1 captures [eta1] in DB and Delta2
   // captures [eta2] in apply(DB, Delta1), then Delta1 ! Delta2 captures
@@ -111,9 +101,9 @@ TEST(MaterializeTest, SmashCapturesComposition) {
     HypoExprPtr eta1 = RandomHypo(&rng, schema, options);
     HypoExprPtr eta2 = RandomHypo(&rng, schema, options);
 
-    ASSERT_OK_AND_ASSIGN(DeltaValue d1, MaterializeDelta(eta1, db, schema));
+    ASSERT_OK_AND_ASSIGN(DeltaValue d1, PreciseDeltaOf(eta1, db));
     ASSERT_OK_AND_ASSIGN(Database mid, d1.ApplyTo(db));
-    ASSERT_OK_AND_ASSIGN(DeltaValue d2, MaterializeDelta(eta2, mid, schema));
+    ASSERT_OK_AND_ASSIGN(DeltaValue d2, PreciseDeltaOf(eta2, mid));
 
     ASSERT_OK_AND_ASSIGN(Database via_smash, d1.SmashWith(d2).ApplyTo(db));
     ASSERT_OK_AND_ASSIGN(Database via_state,
@@ -133,7 +123,7 @@ TEST(MaterializeTest, ReuseAcrossFamily) {
   ASSERT_OK(db.Set("S", GenRelation(&rng, 100, 2, 50)));
   HypoExprPtr eta = Upd(Seq(Ins("R", Sel(Ge(Col(0), Int(10)), Rel("S"))),
                             Del("S", Sel(Lt(Col(0), Int(30)), Rel("S")))));
-  ASSERT_OK_AND_ASSIGN(XsubValue env, MaterializeXsub(eta, db, schema));
+  ASSERT_OK_AND_ASSIGN(XsubValue env, XsubOf(eta, db));
   Filter1Options options;
   options.env = &env;
   for (int i = 0; i < 10; ++i) {

@@ -9,8 +9,6 @@
 #include "ast/builders.h"
 #include "ast/query.h"
 #include "common/thread_pool.h"
-#include "eval/direct.h"
-#include "eval/materialize.h"
 #include "eval/ra_eval.h"
 #include "opt/planner.h"
 #include "tests/test_util.h"
@@ -167,33 +165,6 @@ TEST(MemoEvalTest, ExecuteWithMemoMatchesExecuteWithout) {
                          Execute(query, db, schema, s, with_memo));
     EXPECT_EQ(plain, memoized) << StrategyName(s);
   }
-}
-
-TEST(MemoEvalTest, EvalStateMemoMatchesEvalStateAndHitsOnReuse) {
-  Schema schema = MakeSchema({{"R", 2}, {"S", 2}});
-  Database db(schema);
-  ASSERT_OK(db.Set("R", Ints({{1, 10}})));
-  ASSERT_OK(db.Set("S", Ints({{2, 20}, {3, 30}})));
-  HypoExprPtr state = Comp(Upd(Ins("R", Rel("S"))),
-                           Upd(Del("S", Sel(Gt(Col(0), Int(2)), Rel("S")))));
-
-  ASSERT_OK_AND_ASSIGN(Database plain, EvalState(state, db));
-  MemoCache cache;
-  ASSERT_OK_AND_ASSIGN(Database memoized, EvalStateMemo(state, db, &cache));
-  ASSERT_OK_AND_ASSIGN(Relation plain_r, plain.Get("R"));
-  ASSERT_OK_AND_ASSIGN(Relation memo_r, memoized.Get("R"));
-  ASSERT_OK_AND_ASSIGN(Relation plain_s, plain.Get("S"));
-  ASSERT_OK_AND_ASSIGN(Relation memo_s, memoized.Get("S"));
-  EXPECT_EQ(plain_r, memo_r);
-  EXPECT_EQ(plain_s, memo_s);
-
-  // Second materialization of the same state over the same content is
-  // served from the cache.
-  uint64_t hits_before = cache.stats().hits;
-  ASSERT_OK_AND_ASSIGN(Database again, EvalStateMemo(state, db, &cache));
-  ASSERT_OK_AND_ASSIGN(Relation again_r, again.Get("R"));
-  EXPECT_EQ(again_r, memo_r);
-  EXPECT_GT(cache.stats().hits, hits_before);
 }
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
